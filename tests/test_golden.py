@@ -1,0 +1,149 @@
+"""Golden bytes: SHA-256 of the CSV, sidecar and report outputs.
+
+A refactor must leave every output byte where it was.  Each case below
+produces one output exactly as a user gets it and compares its digest with
+the one recorded when the case was added.  The digests are of IEEE-754
+double arithmetic through the platform's libm (`exp`, `pow`); a libm that
+rounds differently in the last bit moves them, and then every case moves at
+once rather than one.
+"""
+
+import hashlib
+
+import pytest
+
+from solowfrac.cli import main
+from solowfrac.model import REFERENCE_PARAMS
+from solowfrac.sweep import PRESETS, rows_to_csv, run_solve
+
+GOLDEN = {
+    "sweep fig-ktalpha series csv":
+        "fd7c0498422f6e67d25fd389e67882a7130910e2dd2bd2a3434075636b16b7ca",
+    "sweep fig-ktalpha series meta":
+        "2432d5993b20ecd0a743653c8468b83e979bdba0a71d3132356248c77ff2fa40",
+    "sweep fig-ktalpha both csv":
+        "f48c5bdd2e627997b1b499f6f76e7c0800159d7436ed875f83aac3a17e0a049a",
+    "sweep fig-ktalpha both meta":
+        "f5e19767f9315dca08db15393b8a229cac896dc72f10534e75f2572168924f20",
+    "sweep fig-ktmu series csv":
+        "e0e77c401ecc12ab3cfa0d49bb69a72a5eedf7bfe7b527c4f443c8bb389ab31d",
+    "sweep fig-ktmu series meta":
+        "cec0e74e24c6e6b676d47032153e3842e0c0bb88325abf51207b3af43f268b6e",
+    "sweep fig-ktmu both csv":
+        "182807e4243806ab6375525af1a7e08fcfa3ba1eaeb2da17faf90e9c0b8bb1e6",
+    "sweep fig-ktmu both meta":
+        "57a6e5e35c88c988c24e132c321ae9d321d3dc53c80fbdf8bd682be7804875fe",
+    "sweep fig-ktp series csv":
+        "8ae304e3267cca79dbcdbc73df211458e3176dca30559da35addadef036a1a84",
+    "sweep fig-ktp series meta":
+        "48166063d0469f674a91f6491f9cb2ccd79c4cd9a1d8c983fde636c2bd27dc1b",
+    "sweep fig-ktp both csv":
+        "1a78b627d62665d1412c4d4ce6b4b177d891e1f8b54750bfccd29abaebef89ff",
+    "sweep fig-ktp both meta":
+        "ba1601615f472d2293a09d92ca5ad9c2c9869b552928c50489f6d09abcd67083",
+    "sweep fig-ktq series csv":
+        "96543c6a6738a24b1931a0b09848d53cc99c67c07cfe4d03200270788a92c689",
+    "sweep fig-ktq series meta":
+        "b5d52eb3ee8161210cfc964f7393b8a60a8b99c592ce42154f52dc743bdd2508",
+    "sweep fig-ktq both csv":
+        "b30dc2fa0dc992745497b41f6c1999e166e54e027b493ef48cae1accba0e91fc",
+    "sweep fig-ktq both meta":
+        "6b5f11e989b902870e7f452c9ce9f0a78fbdc77bdc286686ee770025d87b34e4",
+    "sweep fig-ktq-frac series csv":
+        "8aa7f3922a16359d9bde6cb9149635d15a9a2943b8447f1d3c83b8977c720847",
+    "sweep fig-ktq-frac series meta":
+        "3665602d04510a614c2ddda1cbe195426c62d540096fe87600393739709ed0c2",
+    "sweep fig-ktq-frac both csv":
+        "512f3924ee1d2b6acd995099dc010ea0b8b0f8f8998c83db69014338fc7301ae",
+    "sweep fig-ktq-frac both meta":
+        "b7996a3e20c3a40e0b1bed648a4fd4f10309270f53be7eead92e32e09c2e2974",
+    "sweep custom both csv":
+        "e3e97331520cebcf30d478e6b68f5637a90fd5289618b38d42510a2f38e463aa",
+    "sweep custom both meta":
+        "845f6e135e9f497bf3d33c4df4cee295b36eb805a674bf0fee03f24ba4a77a96",
+    "sweep fig-ktq overridden csv":
+        "b14f2f3637c2b2e520d9a48e96f66e9f3bc804973dd51354d8acab1d7ce88776",
+    "sweep fig-ktq overridden meta":
+        "761cd8ab25a28c09ce44d9f96eb86eb81311d4e48914bfb0c68d07147f14c4c6",
+    "solve alpha=1 series":
+        "8f46f9d47c9b2cb832e556e259052b8f8a9b2c77652e81bf0535f8640e3c78c5",
+    "solve alpha=1 exact":
+        "9257721eec8e2785e95178c826339f146be1b8dd0ab5230ed7582bf4ed2585cf",
+    "solve alpha=1 abm":
+        "6d42c7ccf1a5858169b8e4f261ad9217e3b1b5bb2306818247985bfce8a6f20f",
+    "solve alpha=1 both":
+        "bd6e8b6d5607bd81f5a4ba371640a2a577f2d24e9e7c8ef7b3d9550de1e904a1",
+    "solve alpha=0.8 series":
+        "e99b1857b096cb8b9ae81d32d746fb35215a327cd01727ba5c32575883d9f1a4",
+    "solve alpha=0.8 abm":
+        "2f74f4863638c353e08aacc690f8623ee530bde1ebb17caa72690666446aef06",
+    "solve alpha=0.8 both":
+        "d2daa2163b7fb63bb9ea30d7cd281ff1744763d63fe1808f9ea2a305b791fb20",
+    "compare alpha=1":
+        "2e5acd2685a611fb729c7ef731c90165d6d678e4f8a041fe17f960b57c6e13b4",
+    "compare alpha=0.8":
+        "df445a3cd81a056cccd0fc070b1ed2c60ad88cf712b0946babcf112e9fefae30",
+    "verify":
+        "34869b5161175207bdc2c1139e32fbe33e4fe949448b6d8162fc30e53e1bdced",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cli_stdout(capsys, *argv) -> str:
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("method", ["series", "both"])
+def test_sweep_preset_bytes(capsys, tmp_path, preset, method):
+    out = tmp_path / "grid.csv"
+    assert _cli_stdout(capsys, "sweep", "--preset", preset, "--method", method,
+                       "--out", str(out)) == ""
+    key = f"sweep {preset} {method}"
+    assert _digest(out.read_text()) == GOLDEN[f"{key} csv"]
+    assert _digest((tmp_path / "grid.csv.meta.json").read_text()) == GOLDEN[f"{key} meta"]
+
+
+# A custom sweep, and a preset with every kind of field overridden.
+SWEEP_ARGV = {
+    "sweep custom both": ["--axis", "p", "--axis-min", "0.2", "--axis-max", "1.0",
+                          "--axis-count", "5", "--t-max", "1.5", "--t-count", "9",
+                          "--alpha", "0.9", "--method", "both"],
+    "sweep fig-ktq overridden": ["--preset", "fig-ktq", "--p", "0.7", "--axis", "mu",
+                                 "--axis-min", "0.2", "--axis-max", "0.6",
+                                 "--axis-count", "5", "--t-count", "9", "--order", "7"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_ARGV))
+def test_sweep_argv_bytes(capsys, tmp_path, key):
+    out = tmp_path / "grid.csv"
+    assert _cli_stdout(capsys, "sweep", *SWEEP_ARGV[key], "--out", str(out)) == ""
+    assert _digest(out.read_text()) == GOLDEN[f"{key} csv"]
+    assert _digest((tmp_path / "grid.csv.meta.json").read_text()) == GOLDEN[f"{key} meta"]
+
+
+@pytest.mark.parametrize("alpha, method", [
+    (1.0, "series"), (1.0, "exact"), (1.0, "abm"), (1.0, "both"),
+    (0.8, "series"), (0.8, "abm"), (0.8, "both"),
+])
+def test_solve_bytes(alpha, method):
+    rows = run_solve(REFERENCE_PARAMS.with_(alpha=alpha), t_max=2.0, samples=41,
+                     method=method)
+    assert _digest(rows_to_csv(rows)) == GOLDEN[f"solve alpha={alpha:g} {method}"]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.8])
+def test_compare_bytes(capsys, alpha):
+    out = _cli_stdout(capsys, "compare", "--alpha", repr(alpha))
+    assert _digest(out) == GOLDEN[f"compare alpha={alpha:g}"]
+
+
+def test_verify_bytes(capsys):
+    assert _digest(_cli_stdout(capsys, "verify")) == GOLDEN["verify"]
