@@ -16,7 +16,6 @@ from solowfrac.sweep import PRESETS, gnuplot_script, grid_to_csv, run_sweep, sid
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="figures", help="output directory (default: figures/)")
-    parser.add_argument("--jobs", type=int, default=4, help="parallel sweep cells (default 4)")
     parser.add_argument("--preset", choices=sorted(PRESETS), action="append",
                         help="restrict to specific presets (repeatable; default all)")
     args = parser.parse_args(argv)
@@ -26,7 +25,7 @@ def main(argv=None) -> int:
     names = args.preset or sorted(PRESETS)
     for name in names:
         config = PRESETS[name]
-        grid = run_sweep(config, jobs=args.jobs)
+        grid = run_sweep(config)
         csv_path = outdir / f"{name}.csv"
         csv_path.write_text(grid_to_csv(grid))
         (outdir / f"{name}.csv.meta.json").write_text(sidecar_metadata(grid))

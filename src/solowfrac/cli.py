@@ -12,13 +12,15 @@ import sys
 from pathlib import Path
 
 from .equilibrium import find_equilibria
-from .model import ModelParams
-from .series import DEFAULT_ORDER, build_series, eval_series
+from .model import REFERENCE_PARAMS, ModelParams
+from .series import DEFAULT_ORDER
 from .sweep import (
     PRESETS,
     SweepConfig,
+    evaluate,
     gnuplot_script,
     grid_to_csv,
+    methods_for,
     rows_to_csv,
     run_solve,
     run_sweep,
@@ -68,13 +70,14 @@ def _merged(args, config: dict, key: str, default):
     return default
 
 
-def _params_from(args, config: dict) -> ModelParams:
+def _params_from(args, config: dict, base: ModelParams = REFERENCE_PARAMS) -> ModelParams:
+    """Model parameters: flag, then config file, then `base`."""
     return ModelParams(
-        p=_merged(args, config, "p", 0.5),
-        q=_merged(args, config, "q", 0.2),
-        mu=_merged(args, config, "mu", 1.0 / 3.0),
-        alpha=_merged(args, config, "alpha", 1.0),
-        k0=_merged(args, config, "k0", 1.0),
+        p=_merged(args, config, "p", base.p),
+        q=_merged(args, config, "q", base.q),
+        mu=_merged(args, config, "mu", base.mu),
+        alpha=_merged(args, config, "alpha", base.alpha),
+        k0=_merged(args, config, "k0", base.k0),
     )
 
 
@@ -105,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--t-count", type=int, default=None, dest="t_count")
     p_sweep.add_argument("--order", type=int, default=None)
     p_sweep.add_argument("--method", choices=["series", "abm", "exact", "both"], default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel cell evaluation")
     p_sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p_sweep.add_argument("--gnuplot-script", default=None, dest="gnuplot_script",
                          help="also write a companion gnuplot script to this path")
@@ -145,59 +147,45 @@ def _cmd_solve(args, config) -> int:
     return 0
 
 
+# Sweep fields without a preset.  The axis and its range have no default.
+SWEEP_DEFAULTS = {"axis_count": 21, "t_max": 2.0, "t_count": 41,
+                  "order": DEFAULT_ORDER, "method": "series"}
+
+
+def _preset_fields(preset: SweepConfig) -> dict:
+    (lo, hi, count), (t_max, t_count) = preset.axis_range, preset.t_range
+    return {"axis": preset.axis, "axis_min": lo, "axis_max": hi, "axis_count": count,
+            "t_max": t_max, "t_count": t_count, "order": preset.order,
+            "method": preset.method}
+
+
 def _sweep_config_from(args, config) -> SweepConfig:
-    preset_name = _merged(args, config, "preset", None)
-    if preset_name is not None:
-        base_cfg = PRESETS[preset_name]
-    else:
-        axis = _merged(args, config, "axis", None)
-        if axis is None:
-            raise ValueError("sweep requires --preset or --axis with a range")
-        lo = _merged(args, config, "axis_min", None)
-        hi = _merged(args, config, "axis_max", None)
-        if lo is None or hi is None:
-            raise ValueError("sweep requires --axis-min and --axis-max")
-        base_cfg = SweepConfig(
-            base=_params_from(args, config),
-            axis=axis,
-            axis_range=(lo, hi, int(_merged(args, config, "axis_count", 21))),
-            t_range=(_merged(args, config, "t_max", 2.0), int(_merged(args, config, "t_count", 41))),
-            order=int(_merged(args, config, "order", DEFAULT_ORDER)),
-            method=_merged(args, config, "method", "series"),
-        )
-        return base_cfg
-    # Preset with optional overrides.
-    overrides = {}
-    axis = _merged(args, config, "axis", None)
-    if axis is not None:
-        overrides["axis"] = axis
-    lo = _merged(args, config, "axis_min", base_cfg.axis_range[0])
-    hi = _merged(args, config, "axis_max", base_cfg.axis_range[1])
-    count = int(_merged(args, config, "axis_count", base_cfg.axis_range[2]))
-    overrides["axis_range"] = (lo, hi, count)
-    t_max = _merged(args, config, "t_max", base_cfg.t_range[0])
-    t_count = int(_merged(args, config, "t_count", base_cfg.t_range[1]))
-    overrides["t_range"] = (t_max, t_count)
-    overrides["order"] = int(_merged(args, config, "order", base_cfg.order))
-    overrides["method"] = _merged(args, config, "method", base_cfg.method)
-    base = base_cfg.base
-    for key in ("p", "q", "mu", "alpha", "k0"):
-        v = _merged(args, config, key, None)
-        if v is not None:
-            base = base.with_(**{key: v})
+    """Each field from its flag, then the config file, then the preset, then the default."""
+    name = _merged(args, config, "preset", None)
+    if name is not None and name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    preset = PRESETS.get(name)
+    fallback = SWEEP_DEFAULTS if preset is None else _preset_fields(preset)
+    value = {key: _merged(args, config, key, fallback.get(key))
+             for key in ("axis", "axis_min", "axis_max", "axis_count", "t_max", "t_count",
+                         "order", "method")}
+    if value["axis"] is None:
+        raise ValueError("sweep requires --preset or --axis with a range")
+    if value["axis_min"] is None or value["axis_max"] is None:
+        raise ValueError("sweep requires --axis-min and --axis-max")
     return SweepConfig(
-        base=base,
-        axis=overrides.get("axis", base_cfg.axis),
-        axis_range=overrides["axis_range"],
-        t_range=overrides["t_range"],
-        order=overrides["order"],
-        method=overrides["method"],
+        base=_params_from(args, config, REFERENCE_PARAMS if preset is None else preset.base),
+        axis=value["axis"],
+        axis_range=(value["axis_min"], value["axis_max"], value["axis_count"]),
+        t_range=(value["t_max"], value["t_count"]),
+        order=value["order"],
+        method=value["method"],
     )
 
 
 def _cmd_sweep(args, config) -> int:
     sweep_cfg = _sweep_config_from(args, config)
-    grid = run_sweep(sweep_cfg, jobs=max(1, args.jobs))
+    grid = run_sweep(sweep_cfg)
     csv_text = grid_to_csv(grid)
     if args.out:
         out = Path(args.out)
@@ -239,8 +227,7 @@ def _cmd_equilibria(args, config) -> int:
 def _cmd_verify(args, config) -> int:
     from .transforms import run_all_verifications
 
-    params = _params_from(args, config) if (args.config or args.alpha is not None) else None
-    reports = run_all_verifications(params)
+    reports = run_all_verifications(_params_from(args, config, REFERENCE_PARAMS.with_(alpha=0.8)))
     failed = []
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -257,35 +244,31 @@ def _cmd_verify(args, config) -> int:
     return 0
 
 
-def _cmd_compare(args, config) -> int:
-    from .oracles import solve_abm_fractional, solve_exact_classical
+ORACLE_NAMES = {"exact": "exact-classical", "abm": "abm-fractional"}
 
+
+def _cmd_compare(args, config) -> int:
     params = _params_from(args, config)
     t_max = _merged(args, config, "t_max", 0.5)
     samples = int(_merged(args, config, "samples", 21))
     order = int(_merged(args, config, "order", 8))
-    sol = build_series(params, order)
     times = [i * t_max / (samples - 1) for i in range(samples)]
-    if params.alpha == 1.0:
-        oracle = solve_exact_classical(params, times).values
-        oracle_name = "exact-classical"
-    else:
-        from .sweep import _abm_on_grid
-        oracle = _abm_on_grid(params, times)
-        oracle_name = "abm-fractional"
-    worst = 0.0
-    compared = 0
-    for t, ref in zip(times, oracle):
-        val, trusted = eval_series(sol, t)
-        if not trusted:
-            continue
-        compared += 1
-        worst = max(worst, abs(val - ref) / abs(ref))
+    results = []
+    for method in methods_for("both", params.alpha):
+        values, trusted, reason = evaluate(params, times, method, order)
+        if reason is not None:
+            raise ValueError(reason)
+        results.append((method, values, trusted))
+    (_, series, trusted), (oracle_method, oracle, _) = results
+    gaps = [abs(val - ref) / abs(ref)
+            for val, ref, ok in zip(series, oracle, trusted) if ok]
+    worst = max([0.0, *gaps])  # from 0.0 first, so a NaN gap is never the worst
     sys.stdout.write(
-        f"series (order {order}) vs {oracle_name}: {compared}/{len(times)} trusted points, "
+        f"series (order {order}) vs {ORACLE_NAMES[oracle_method]}: "
+        f"{len(gaps)}/{len(times)} trusted points, "
         f"max relative gap {worst:.3e} (tol {args.tol:.1e})\n"
     )
-    return 0 if worst <= args.tol and compared > 0 else 1
+    return 0 if worst <= args.tol and gaps else 1
 
 
 _COMMANDS = {

@@ -55,9 +55,6 @@ class ModelParams:
     def with_(self, **kwargs) -> "ModelParams":
         return replace(self, **kwargs)
 
-    def is_classical(self) -> bool:
-        return self.alpha == 1.0
-
     def at_equilibrium(self) -> bool:
         """True when k0 sits exactly (in floating point) on a fixed point."""
         return self.rhs(self.k0) == 0.0 or self.k0 == self.k_star

@@ -36,9 +36,6 @@ class Trajectory:
         if len(self.times) != len(self.values):
             raise ValueError("times and values must have equal length")
 
-    def at_end(self) -> float:
-        return self.values[-1]
-
 
 def exact_classical_value(params: ModelParams, t: float) -> float:
     """Closed-form k(t) for alpha = 1.

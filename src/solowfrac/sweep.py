@@ -2,27 +2,29 @@
 
 A sweep varies one parameter (p, q, mu or alpha) over a linear range and
 tabulates k(t) over a time grid for each value, producing the flat records
-behind the 3-D surface figures.  Cells (one per axis value and method) are
-pure and may be evaluated in parallel; assembly is order-independent and the
-emitted CSV is byte-identical across runs and degrees of parallelism.
+behind the 3-D surface figures.  Every command turns parameters and a time
+grid into values through `evaluate`, one method at a time.  Cells (one per
+axis value and method) are pure, so the emitted CSV does not depend on the
+order they are evaluated in and is byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import ModelParams
 from .oracles import solve_abm_fractional, solve_exact_classical
-from .series import DEFAULT_ORDER, build_series, eval_series
+from .series import DEFAULT_ORDER, MAX_ORDER, build_series, eval_series
 
 __all__ = [
     "SweepConfig",
     "SweepGrid",
     "Row",
     "PRESETS",
+    "evaluate",
+    "methods_for",
     "run_solve",
     "run_sweep",
     "grid_to_csv",
@@ -39,6 +41,22 @@ METHODS = ("series", "abm", "exact", "both")
 Row = tuple[float, float, float, bool, str]
 
 
+def methods_for(method: str, alpha: float, axis: str | None = None) -> list[str]:
+    """The single methods behind `method`.
+
+    `both` is the series plus an oracle: the exact classical solution when
+    every cell has alpha = 1, otherwise the ABM solver.
+    """
+    if method != "both":
+        return [method]
+    return ["series", "exact" if alpha == 1.0 and axis != "alpha" else "abm"]
+
+
+def _check_order(order: int) -> None:
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {order}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     base: ModelParams
@@ -53,6 +71,7 @@ class SweepConfig:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        _check_order(self.order)
         lo, hi, count = self.axis_range
         if count < 2:
             raise ValueError(f"axis count must be at least 2, got {count}")
@@ -78,10 +97,7 @@ class SweepConfig:
         return [i * step for i in range(count)]
 
     def methods(self) -> list[str]:
-        if self.method != "both":
-            return [self.method]
-        second = "exact" if self.base.alpha == 1.0 and self.axis != "alpha" else "abm"
-        return ["series", second]
+        return methods_for(self.method, self.base.alpha, self.axis)
 
     def as_dict(self) -> dict:
         return {
@@ -134,47 +150,41 @@ PRESETS: dict[str, SweepConfig] = {
 }
 
 
-def _abm_on_grid(params: ModelParams, times: list[float]) -> list[float]:
-    """ABM values exactly on the requested uniform grid (stride sampling)."""
-    count = len(times)
-    t_max = times[-1]
-    per = max(1, math.ceil(256 / (count - 1)))
-    steps = (count - 1) * per
-    traj = solve_abm_fractional(params, t_end=t_max, steps=steps)
-    return [traj.values[i * per] for i in range(count)]
+def evaluate(params: ModelParams, times: list[float], method: str,
+             order: int = DEFAULT_ORDER) -> tuple[list[float], list[bool], str | None]:
+    """Values and trust flags of one method (`series`, `exact` or `abm`) on `times`.
 
-
-def _solve_rows(params: ModelParams, times: list[float], order: int,
-                method: str, axis_value: float) -> list[Row]:
-    """Rows for one (axis value, method) cell; failures become untrusted NaNs."""
+    The third item is None on success.  When the solver fails it is the
+    reason, and the cell is all NaN and untrusted.  ABM steps on a
+    refinement of `times` (at least 256 steps) and samples it, so for `abm`
+    the grid must be uniform and start at 0.
+    """
+    if method not in ("series", "exact", "abm"):
+        raise ValueError(f"unknown method {method!r}")
     try:
         if method == "series":
             sol = build_series(params, order)
-            out = []
-            for t in times:
-                k, trusted = eval_series(sol, t)
-                out.append((t, axis_value, k, trusted, method))
-            return out
+            pairs = [eval_series(sol, t) for t in times]
+            return [k for k, _ in pairs], [trusted for _, trusted in pairs], None
         if method == "exact":
-            traj = solve_exact_classical(params, times)
-            return [(t, axis_value, k, True, method)
-                    for t, k in zip(traj.times, traj.values)]
-        if method == "abm":
-            vals = _abm_on_grid(params, times)
-            return [(t, axis_value, k, True, method) for t, k in zip(times, vals)]
-    except (ValueError, ArithmeticError):
-        return [(t, axis_value, float("nan"), False, method) for t in times]
-    raise ValueError(f"unknown method {method!r}")
+            values = list(solve_exact_classical(params, times).values)
+        else:
+            per = max(1, math.ceil(256 / (len(times) - 1)))
+            traj = solve_abm_fractional(params, t_end=times[-1], steps=(len(times) - 1) * per)
+            values = [traj.values[i * per] for i in range(len(times))]
+        return values, [True] * len(times), None
+    except (ValueError, ArithmeticError) as exc:
+        return [math.nan] * len(times), [False] * len(times), str(exc)
 
 
 def run_solve(params: ModelParams, t_max: float, samples: int,
               method: str, order: int = DEFAULT_ORDER) -> list[Row]:
-    """Single trajectory as flat rows.
+    """Single trajectory as flat rows, t-major then method.
 
-    The axis column is fixed to 0.0 (no swept parameter).  Validation
-    failures propagate (the CLI maps them to exit code 2).
+    The axis column is fixed to 0.0 (no swept parameter).  Validation and
+    solver failures raise ValueError (the CLI maps them to exit code 2).
     """
-    if method not in ("series", "abm", "exact", "both"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "exact" and params.alpha != 1.0:
         raise ValueError("method 'exact' requires alpha = 1")
@@ -182,57 +192,35 @@ def run_solve(params: ModelParams, t_max: float, samples: int,
         raise ValueError(f"samples must be at least 2, got {samples}")
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
+    _check_order(order)
     times = [i * t_max / (samples - 1) for i in range(samples)]
-    methods = [method] if method != "both" else (
-        ["series", "exact"] if params.alpha == 1.0 else ["series", "abm"]
-    )
-    # Build per-method trajectories once, then interleave t-major.
-    rows: list[Row] = []
-    per_method: dict[str, list[Row]] = {}
-    for m in methods:
-        if m == "series":
-            sol = build_series(params, order)
-            per_method[m] = [(t, 0.0, *eval_series(sol, t), m) for t in times]
-        elif m == "exact":
-            traj = solve_exact_classical(params, times)
-            per_method[m] = [(t, 0.0, k, True, m) for t, k in zip(traj.times, traj.values)]
-        else:
-            vals = _abm_on_grid(params, times)
-            per_method[m] = [(t, 0.0, k, True, m) for t, k in zip(times, vals)]
-    for i in range(len(times)):
-        for m in methods:
-            rows.append(per_method[m][i])
-    return rows
+    cells = []
+    for m in methods_for(method, params.alpha):
+        values, trusted, reason = evaluate(params, times, m, order)
+        if reason is not None:
+            raise ValueError(reason)
+        cells.append((m, values, trusted))
+    return [(t, 0.0, values[i], trusted[i], m)
+            for i, t in enumerate(times) for m, values, trusted in cells]
 
 
-def run_sweep(config: SweepConfig, jobs: int = 1) -> SweepGrid:
-    """Evaluate the full grid; deterministic t-major, then axis, then method order."""
+def run_sweep(config: SweepConfig) -> SweepGrid:
+    """Evaluate the full grid; deterministic t-major, then axis, then method order.
+
+    A cell whose solver fails gives NaN, untrusted rows.
+    """
     times = config.times()
-    methods = config.methods()
-    axis_values = config.axis_values()
-
-    cells = [
-        (config.base.with_(**{config.axis: v}), v, m)
-        for v in axis_values
-        for m in methods
+    cells = [(v, m) for v in config.axis_values() for m in config.methods()]
+    results = [
+        evaluate(config.base.with_(**{config.axis: v}), times, m, config.order)
+        for v, m in cells
     ]
-
-    def run_cell(cell) -> list[Row]:
-        params, v, m = cell
-        return _solve_rows(params, times, config.order, m, v)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cell_rows = list(pool.map(run_cell, cells))
-    else:
-        cell_rows = [run_cell(c) for c in cells]
-
-    # Cell results arrive (axis, method)-major with t inside; reorder t-major.
-    rows: list[Row] = []
-    for t_idx in range(len(times)):
-        for cell_idx in range(len(cells)):
-            rows.append(cell_rows[cell_idx][t_idx])
-    return SweepGrid(config=config, rows=tuple(rows))
+    rows = tuple(
+        (t, v, values[i], trusted[i], m)
+        for i, t in enumerate(times)
+        for (v, m), (values, trusted, _) in zip(cells, results)
+    )
+    return SweepGrid(config=config, rows=rows)
 
 
 def _fmt(x: float) -> str:
@@ -268,13 +256,6 @@ def parse_csv(text: str) -> tuple[str, list[Row]]:
     return header, rows
 
 
-def rows_from_parsed_to_csv(rows: list[Row]) -> str:
-    lines = [CSV_HEADER]
-    for t, axis, k, trusted, method in rows:
-        lines.append(f"{_fmt(t)},{_fmt(axis)},{_fmt(k)},{'true' if trusted else 'false'},{method}")
-    return "\n".join(lines) + "\n"
-
-
 def sidecar_metadata(grid: SweepGrid) -> str:
     """Deterministic JSON sidecar describing the run (no timestamps)."""
     meta = {
@@ -287,14 +268,19 @@ def sidecar_metadata(grid: SweepGrid) -> str:
 
 
 def gnuplot_script(csv_path: str, config: SweepConfig) -> str:
-    """Companion gnuplot script for a quick surface rendering of the grid."""
+    """Companion gnuplot script: one k(t, axis) surface per method of the grid."""
+    surfaces = ", ".join(
+        f"'{csv_path}' every ::1 using 1:2:(strcol(5) eq '{m}' ? $3 : 1/0) "
+        f"with lines title '{m} k(t, {config.axis})'"
+        for m in config.methods()
+    )
     return "\n".join([
         "set datafile separator ','",
-        "set dgrid3d 41,21",
+        f"set dgrid3d {config.t_range[1]},{config.axis_range[2]}",
         "set hidden3d",
-        f"set xlabel 't'",
+        "set xlabel 't'",
         f"set ylabel '{config.axis}'",
         "set zlabel 'k'",
-        f"splot '{csv_path}' every ::1 using 1:2:3 with lines title 'k(t, {config.axis})'",
+        f"splot {surfaces}",
         "pause -1",
     ]) + "\n"

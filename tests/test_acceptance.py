@@ -8,6 +8,7 @@ then asserts, so a failure still leaves the diagnostic line in the output.
 import math
 import random
 import time
+from dataclasses import replace
 
 from solowfrac.adomian import adomian_power_coeffs, adomian_bruteforce_oracle
 from solowfrac.equilibrium import find_equilibria
@@ -19,7 +20,7 @@ from solowfrac.series import (
     eval_series,
     fractional_low_order_coeffs,
 )
-from solowfrac.sweep import PRESETS, grid_to_csv, run_sweep
+from solowfrac.sweep import PRESETS, SweepGrid, evaluate, grid_to_csv, run_sweep
 from solowfrac.transforms import run_all_verifications
 
 
@@ -239,12 +240,34 @@ def test_criterion_8_figure_shape_properties():
 
 
 def test_criterion_9_determinism():
-    cfg = PRESETS["fig-ktq-frac"]
-    first = grid_to_csv(run_sweep(cfg, jobs=1))
-    second = grid_to_csv(run_sweep(cfg, jobs=1))
-    parallel = grid_to_csv(run_sweep(cfg, jobs=4))
-    ok = first == second == parallel
-    _emit(9, ok, f"repeat run identical {first == second}; serial vs 4-way "
-                 f"parallel identical {first == parallel} "
-                 f"({len(first)} CSV bytes)")
+    # Cells must not depend on each other: evaluated one by one in reversed
+    # and in shuffled order, they reassemble to the bytes of run_sweep.
+    cfg = replace(PRESETS["fig-ktq-frac"], method="both")
+    first = grid_to_csv(run_sweep(cfg))
+    second = grid_to_csv(run_sweep(cfg))
+    times = cfg.times()
+    cells = [(v, m) for v in cfg.axis_values() for m in cfg.methods()]
+
+    def reassembled(order):
+        results = {}
+        for index in order:
+            v, m = cells[index]
+            values, trusted, _ = evaluate(cfg.base.with_(**{cfg.axis: v}), times, m, cfg.order)
+            results[index] = (values, trusted)
+        rows = tuple(
+            (t, v, results[index][0][i], results[index][1][i], m)
+            for i, t in enumerate(times)
+            for index, (v, m) in enumerate(cells)
+        )
+        return grid_to_csv(SweepGrid(config=cfg, rows=rows))
+
+    indices = list(range(len(cells)))
+    shuffled = indices[:]
+    random.Random(9).shuffle(shuffled)
+    reversed_csv = reassembled(indices[::-1])
+    shuffled_csv = reassembled(shuffled)
+    ok = first == second == reversed_csv == shuffled_csv
+    _emit(9, ok, f"repeat run identical {first == second}; {len(cells)} cells in reversed "
+                 f"order identical {first == reversed_csv}, in shuffled order identical "
+                 f"{first == shuffled_csv} ({len(first)} CSV bytes)")
     assert ok

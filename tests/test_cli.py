@@ -1,6 +1,8 @@
 """End-to-end CLI tests: subcommands, config files, exit codes, artifacts."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -126,12 +128,34 @@ class TestSweep:
         assert code == 2
         assert "error:" in err
 
-    def test_jobs_do_not_change_output(self, capsys):
-        argv = ["sweep", "--preset", "fig-ktmu", "--axis-count", "4", "--t-count", "4"]
-        code1, out1, _ = run_cli(capsys, *argv)
-        code2, out2, _ = run_cli(capsys, *argv, "--jobs", "4")
-        assert code1 == code2 == 0
-        assert out1 == out2
+    @pytest.mark.parametrize("order", ["0", "65"])
+    @pytest.mark.parametrize("command", ["sweep", "solve"])
+    def test_order_out_of_range_is_usage_error(self, capsys, command, order):
+        argv = ["--preset", "fig-ktq"] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, *argv, "--order", order)
+        assert code == 2
+        assert out == ""
+        assert "order must lie in [1, 64]" in err
+
+    def test_unknown_preset_in_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = fig-nope\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert "unknown preset" in err
+
+    def test_make_figures_matches_cli(self, capsys, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
+        spec = importlib.util.spec_from_file_location("make_figures", path)
+        make_figures = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_figures)
+        assert make_figures.main(["--preset", "fig-ktq", "--outdir", str(tmp_path / "figs")]) == 0
+        code, _, _ = run_cli(capsys, "sweep", "--preset", "fig-ktq",
+                             "--out", str(tmp_path / "cli.csv"))
+        assert code == 0
+        for suffix in (".csv", ".csv.meta.json"):
+            script_bytes = (tmp_path / "figs" / f"fig-ktq{suffix}").read_bytes()
+            assert script_bytes == (tmp_path / f"cli{suffix}").read_bytes()
 
 
 class TestEquilibria:
@@ -162,6 +186,15 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 9
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_model_flags_apply_without_alpha(self, capsys):
+        # verify defaults to alpha = 0.8; the other flags go on top of that
+        _, bare, _ = run_cli(capsys, "verify")
+        code, shifted, _ = run_cli(capsys, "verify", "--p", "0.7")
+        _, explicit, _ = run_cli(capsys, "verify", "--p", "0.7", "--alpha", "0.8")
+        assert code == 0
+        assert shifted == explicit
+        assert shifted != bare
 
 
 class TestCompare:

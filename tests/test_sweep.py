@@ -10,10 +10,11 @@ from solowfrac.sweep import (
     CSV_HEADER,
     PRESETS,
     SweepConfig,
+    SweepGrid,
+    evaluate,
     grid_to_csv,
     gnuplot_script,
     parse_csv,
-    rows_from_parsed_to_csv,
     rows_to_csv,
     run_solve,
     run_sweep,
@@ -71,6 +72,10 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             # axis range leaves the valid parameter domain (mu must stay < 1)
             small_config(axis="mu", axis_range=(0.5, 1.5, 3))
+        for method in ("series", "exact", "abm", "both"):
+            for order in (0, 65):
+                with pytest.raises(ValueError, match="order must lie in"):
+                    small_config(method=method, order=order)
 
 
 class TestPresets:
@@ -125,13 +130,6 @@ class TestRunSweep:
             if trusted:
                 assert k_series == pytest.approx(k_exact, rel=1e-3)
 
-    def test_parallel_matches_serial_exactly(self):
-        cfg = small_config(method="both")
-        serial = run_sweep(cfg, jobs=1)
-        parallel = run_sweep(cfg, jobs=4)
-        assert serial.rows == parallel.rows
-        assert grid_to_csv(serial) == grid_to_csv(parallel)
-
     def test_repeat_run_byte_identical(self):
         cfg = small_config()
         assert grid_to_csv(run_sweep(cfg)) == grid_to_csv(run_sweep(cfg))
@@ -177,6 +175,39 @@ class TestRunSolve:
             run_solve(REFERENCE_PARAMS.with_(alpha=0.8), t_max=1.0, samples=5, method="exact")
         with pytest.raises(ValueError):
             run_solve(REFERENCE_PARAMS, t_max=1.0, samples=5, method="rk4")
+        for method in ("series", "exact", "abm", "both"):
+            for order in (0, 65):
+                with pytest.raises(ValueError, match="order must lie in"):
+                    run_solve(REFERENCE_PARAMS, t_max=1.0, samples=5, method=method,
+                              order=order)
+
+    def test_solver_failure_raises(self):
+        # A sweep turns this cell into NaN rows; a single solve must refuse it.
+        stiff = REFERENCE_PARAMS.with_(q=1000.0)
+        with pytest.raises(ValueError, match="nonpositive capital"):
+            run_solve(stiff, t_max=1.0, samples=5, method="abm")
+        cfg = small_config(base=stiff, axis="p", axis_range=(0.4, 0.6, 2), method="abm")
+        assert all(math.isnan(r[2]) and not r[3] for r in run_sweep(cfg).rows)
+
+
+class TestEvaluate:
+    def test_single_methods_only(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            evaluate(REFERENCE_PARAMS, [0.0, 0.5, 1.0], "both")
+
+    def test_failure_gives_reason_and_nan(self):
+        values, trusted, reason = evaluate(
+            REFERENCE_PARAMS.with_(alpha=0.8), [0.0, 0.5, 1.0], "exact")
+        assert "alpha = 1" in reason
+        assert all(math.isnan(k) for k in values)
+        assert trusted == [False] * 3
+
+    def test_success_has_no_reason(self):
+        for method in ("series", "exact", "abm"):
+            values, trusted, reason = evaluate(REFERENCE_PARAMS, [0.0, 0.5, 1.0], method)
+            assert reason is None
+            assert values[0] == REFERENCE_PARAMS.k0
+            assert len(trusted) == 3
 
 
 class TestCsv:
@@ -192,7 +223,7 @@ class TestCsv:
         text = grid_to_csv(grid)
         header, rows = parse_csv(text)
         assert header == CSV_HEADER
-        assert rows_from_parsed_to_csv(rows) == text
+        assert grid_to_csv(SweepGrid(config=grid.config, rows=tuple(rows))) == text
 
     def test_parse_rejects_wrong_header(self):
         with pytest.raises(ValueError):
@@ -223,3 +254,20 @@ class TestSidecarAndPlot:
         script = gnuplot_script("out.csv", cfg)
         assert "out.csv" in script
         assert "'q'" in script
+
+    def test_gnuplot_grid_follows_config(self):
+        # t along x (t_count points), the axis along y (axis_count values)
+        script = gnuplot_script("out.csv", small_config(axis_range=(0.1, 0.4, 7),
+                                                        t_range=(1.0, 13)))
+        assert "set dgrid3d 13,7\n" in script
+
+    def test_gnuplot_one_surface_per_method(self):
+        script = gnuplot_script("out.csv", small_config(method="both"))
+        splot = [line for line in script.splitlines() if line.startswith("splot ")]
+        assert len(splot) == 1
+        assert splot[0].count("'out.csv'") == 2
+        assert "strcol(5) eq 'series' ? $3 : 1/0" in splot[0]
+        assert "strcol(5) eq 'exact' ? $3 : 1/0" in splot[0]
+        single = gnuplot_script("out.csv", small_config())
+        assert single.count("'out.csv'") == 1
+        assert "'exact'" not in single
