@@ -30,6 +30,7 @@ from .special import gamma_ratio, ln_gamma
 __all__ = [
     "SeriesSolution",
     "build_series",
+    "check_order",
     "eval_series",
     "classical_taylor_check",
     "fractional_low_order_coeffs",
@@ -56,10 +57,15 @@ class SeriesSolution:
             raise ValueError("coefficient count must equal order + 1")
 
 
-def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> SeriesSolution:
-    """Series coefficients up to the requested truncation order."""
+def check_order(order: int) -> None:
+    """Reject a truncation order outside [1, MAX_ORDER]."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {order}")
+
+
+def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> SeriesSolution:
+    """Series coefficients up to the requested truncation order."""
+    check_order(order)
     alpha = params.alpha
     c = [params.k0]
     # An initial condition exactly on a fixed point must yield an exactly

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .model import ModelParams
 from .oracles import solve_abm_fractional, solve_exact_classical
-from .series import DEFAULT_ORDER, MAX_ORDER, build_series, eval_series
+from .series import DEFAULT_ORDER, build_series, check_order, eval_series
 
 __all__ = [
     "SweepConfig",
@@ -52,11 +52,6 @@ def methods_for(method: str, alpha: float, axis: str | None = None) -> list[str]
     return ["series", "exact" if alpha == 1.0 and axis != "alpha" else "abm"]
 
 
-def _check_order(order: int) -> None:
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {order}")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     base: ModelParams
@@ -71,7 +66,7 @@ class SweepConfig:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        _check_order(self.order)
+        check_order(self.order)
         lo, hi, count = self.axis_range
         if count < 2:
             raise ValueError(f"axis count must be at least 2, got {count}")
@@ -192,7 +187,7 @@ def run_solve(params: ModelParams, t_max: float, samples: int,
         raise ValueError(f"samples must be at least 2, got {samples}")
     if not t_max > 0:
         raise ValueError(f"t_max must be positive, got {t_max}")
-    _check_order(order)
+    check_order(order)
     times = [i * t_max / (samples - 1) for i in range(samples)]
     cells = []
     for m in methods_for(method, params.alpha):
