@@ -132,6 +132,25 @@ class TestEvalSeries:
         _, trusted = eval_series(sol, 50.0)
         assert not trusted
 
+    def test_trusted_points_within_one_percent_on_figure_box(self):
+        # TRUST_TOL is set from this box: the presets' axes at alpha = 1 and
+        # order 5.  A last-term tolerance of 0.05 fails it (2.6e-2 here).
+        rng = random.Random(10)
+        worst = 0.0
+        for _ in range(2000):
+            params = ModelParams(
+                p=rng.uniform(0.2, 1.0), q=rng.uniform(0.1, 0.4),
+                mu=rng.uniform(0.1, 0.9), alpha=1.0, k0=rng.uniform(0.5, 2.0),
+            )
+            sol = build_series(params, 5)
+            for _ in range(20):
+                t = rng.uniform(0.0, 2.0)
+                value, trusted = eval_series(sol, t)
+                if trusted:
+                    exact = exact_classical_value(params, t)
+                    worst = max(worst, abs(value - exact) / exact)
+        assert worst <= 1e-2
+
     def test_rejects_negative_time(self):
         sol = build_series(REFERENCE_PARAMS, 5)
         with pytest.raises(ValueError):
