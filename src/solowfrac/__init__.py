@@ -1,51 +1,35 @@
 """Solver library for the classical and Caputo-fractional Solow-Swan
 capital-accumulation equation: truncated decomposition series, independent
-numerical oracles, equilibrium analysis and parameter-sweep grids."""
+numerical oracles, equilibrium analysis and parameter-sweep grids.
 
-from .adomian import adomian_bruteforce_oracle, adomian_power_coeffs
-from .equilibrium import EquilibriumReport, balanced_growth_capital, find_equilibria
-from .model import ModelParams, REFERENCE_PARAMS
-from .oracles import Trajectory, solve_abm_fractional, solve_exact_classical
-from .series import SeriesSolution, build_series, classical_taylor_check, eval_series
-from .special import MLParams, gamma_ratio, ln_gamma, mittag_leffler
-from .sweep import PRESETS, SweepConfig, SweepGrid, run_solve, run_sweep
-from .transforms import (
-    sumudu_monomial,
-    sumudu_numeric,
-    verify_convolution,
-    verify_derivative_rule,
-    verify_ml_identities,
-)
+The exports load their submodule on first access (PEP 562), so a series
+solve never imports numpy (transforms) or mpmath (test oracles).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelParams",
-    "REFERENCE_PARAMS",
-    "MLParams",
-    "ln_gamma",
-    "gamma_ratio",
-    "mittag_leffler",
-    "adomian_power_coeffs",
-    "adomian_bruteforce_oracle",
-    "SeriesSolution",
-    "build_series",
-    "eval_series",
-    "classical_taylor_check",
-    "Trajectory",
-    "solve_exact_classical",
-    "solve_abm_fractional",
-    "EquilibriumReport",
-    "find_equilibria",
-    "balanced_growth_capital",
-    "sumudu_numeric",
-    "sumudu_monomial",
-    "verify_ml_identities",
-    "verify_derivative_rule",
-    "verify_convolution",
-    "SweepConfig",
-    "SweepGrid",
-    "PRESETS",
-    "run_solve",
-    "run_sweep",
-]
+# Submodule -> the names it exports, in `__all__` order.
+_MODULE_EXPORTS = {
+    "model": ("ModelParams", "REFERENCE_PARAMS"),
+    "special": ("MLParams", "ln_gamma", "gamma_ratio", "mittag_leffler"),
+    "adomian": ("adomian_power_coeffs", "adomian_bruteforce_oracle"),
+    "series": ("SeriesSolution", "build_series", "eval_series", "classical_taylor_check"),
+    "oracles": ("Trajectory", "solve_exact_classical", "solve_abm_fractional"),
+    "equilibrium": ("EquilibriumReport", "find_equilibria", "balanced_growth_capital"),
+    "transforms": ("sumudu_numeric", "sumudu_monomial", "verify_ml_identities",
+                   "verify_derivative_rule", "verify_convolution"),
+    "sweep": ("SweepConfig", "SweepGrid", "PRESETS", "run_solve", "run_sweep"),
+}
+_EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

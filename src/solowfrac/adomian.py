@@ -18,8 +18,6 @@ import math
 import warnings
 from typing import Sequence
 
-import mpmath as mp
-
 __all__ = ["adomian_power_coeffs", "adomian_bruteforce_oracle"]
 
 FD_ACCURACY_LIMIT = 6  # finite differences degrade quickly past the 6th derivative
@@ -61,6 +59,8 @@ def adomian_power_coeffs(mu: float, c: Sequence[float]) -> list[float]:
 
 def _central_derivative(f, n: int, h) -> "mp.mpf":
     """Central-difference estimate of the n-th derivative of f at 0."""
+    import mpmath as mp
+
     s = mp.mpf(0)
     for i in range(n + 1):
         s += (-1) ** i * math.comb(n, i) * f((mp.mpf(n) / 2 - i) * h)
@@ -84,6 +84,8 @@ def adomian_bruteforce_oracle(mu: float, c: Sequence[float], n: int) -> float:
         )
     if n == 0:
         return c[0] ** mu
+
+    import mpmath as mp
 
     with mp.workdps(_FD_DPS):
         def f(x):

@@ -11,9 +11,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
-import numpy as np
-
 __all__ = [
     "MLParams",
     "ln_gamma",
@@ -122,6 +119,8 @@ def _ml_taylor_double(alpha: float, z: float) -> float:
 
 def _ml_taylor_mp(alpha: float, z: float, extra_digits: int) -> float:
     """Arbitrary-precision Taylor summation for the cancellation-heavy region."""
+    import mpmath as mp
+
     with mp.workdps(25 + extra_digits):
         a = mp.mpf(alpha)
         zz = mp.mpf(z)
@@ -189,6 +188,8 @@ def _ml_spectral_negative(alpha: float, z: float, n: int) -> float:
     alpha -> 1; callers must compare two node counts and fall back when
     they disagree.
     """
+    import numpy as np
+
     x = -z
     scale = x ** (1.0 / alpha)
     u = np.linspace(-4.5, 4.5, n)
