@@ -25,6 +25,7 @@ from .sweep import (
     run_solve,
     run_sweep,
     sidecar_metadata,
+    time_grid,
 )
 
 # Flat key=value config files.  Values feed the same validation as the flags.
@@ -249,10 +250,9 @@ ORACLE_NAMES = {"exact": "exact-classical", "abm": "abm-fractional"}
 
 def _cmd_compare(args, config) -> int:
     params = _params_from(args, config)
-    t_max = _merged(args, config, "t_max", 0.5)
-    samples = int(_merged(args, config, "samples", 21))
+    times = time_grid(_merged(args, config, "t_max", 0.5),
+                      int(_merged(args, config, "samples", 21)))
     order = int(_merged(args, config, "order", 8))
-    times = [i * t_max / (samples - 1) for i in range(samples)]
     results = []
     for method in methods_for("both", params.alpha):
         values, trusted, reason = evaluate(params, times, method, order)

@@ -27,6 +27,7 @@ __all__ = [
     "methods_for",
     "run_solve",
     "run_sweep",
+    "time_grid",
     "grid_to_csv",
     "parse_csv",
     "sidecar_metadata",
@@ -112,6 +113,7 @@ class SweepConfig:
 class SweepGrid:
     config: SweepConfig
     rows: tuple[Row, ...]
+    failures: tuple[tuple[float, str, str], ...] = ()  # (axis value, method, reason)
 
 
 def _reference_base(alpha: float = 1.0) -> ModelParams:
@@ -172,6 +174,15 @@ def evaluate(params: ModelParams, times: list[float], method: str,
         return [math.nan] * len(times), [False] * len(times), str(exc)
 
 
+def time_grid(t_max: float, samples: int) -> list[float]:
+    """`samples` uniform times from 0 to `t_max`; ValueError on a degenerate grid."""
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
+    if not t_max > 0:
+        raise ValueError(f"t_max must be positive, got {t_max}")
+    return [i * t_max / (samples - 1) for i in range(samples)]
+
+
 def run_solve(params: ModelParams, t_max: float, samples: int,
               method: str, order: int = DEFAULT_ORDER) -> list[Row]:
     """Single trajectory as flat rows, t-major then method.
@@ -183,12 +194,8 @@ def run_solve(params: ModelParams, t_max: float, samples: int,
         raise ValueError(f"unknown method {method!r}")
     if method == "exact" and params.alpha != 1.0:
         raise ValueError("method 'exact' requires alpha = 1")
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
-    if not t_max > 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    times = time_grid(t_max, samples)
     check_order(order)
-    times = [i * t_max / (samples - 1) for i in range(samples)]
     cells = []
     for m in methods_for(method, params.alpha):
         values, trusted, reason = evaluate(params, times, m, order)
@@ -202,7 +209,8 @@ def run_solve(params: ModelParams, t_max: float, samples: int,
 def run_sweep(config: SweepConfig) -> SweepGrid:
     """Evaluate the full grid; deterministic t-major, then axis, then method order.
 
-    A cell whose solver fails gives NaN, untrusted rows.
+    A cell whose solver fails gives NaN, untrusted rows, and its reason is
+    kept in `failures`.
     """
     times = config.times()
     cells = [(v, m) for v in config.axis_values() for m in config.methods()]
@@ -215,7 +223,9 @@ def run_sweep(config: SweepConfig) -> SweepGrid:
         for i, t in enumerate(times)
         for (v, m), (values, trusted, _) in zip(cells, results)
     )
-    return SweepGrid(config=config, rows=rows)
+    failures = tuple((v, m, reason) for (v, m), (_, _, reason) in zip(cells, results)
+                     if reason is not None)
+    return SweepGrid(config=config, rows=rows, failures=failures)
 
 
 def _fmt(x: float) -> str:
@@ -252,13 +262,20 @@ def parse_csv(text: str) -> tuple[str, list[Row]]:
 
 
 def sidecar_metadata(grid: SweepGrid) -> str:
-    """Deterministic JSON sidecar describing the run (no timestamps)."""
+    """Deterministic JSON sidecar describing the run (no timestamps).
+
+    `failures` lists the cells whose solver failed, with the reason; it is
+    present only when some cell failed.
+    """
     meta = {
         "format": "solowfrac sweep grid v1",
         "csv_header": CSV_HEADER,
         "config": grid.config.as_dict(),
         "row_count": len(grid.rows),
     }
+    if grid.failures:
+        meta["failures"] = [{"axis": v, "method": m, "reason": reason}
+                            for v, m, reason in grid.failures]
     return json.dumps(meta, indent=2, sort_keys=True) + "\n"
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,28 @@ class TestSweep:
         assert code == 2
         assert "unknown preset" in err
 
+    def test_sidecar_records_failed_cells(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--q", "1000", "--axis", "p", "--axis-min", "0.4",
+            "--axis-max", "0.6", "--method", "abm", "--out", str(out_path),
+        )
+        assert code == 0
+        _, rows = parse_csv(out_path.read_text())
+        assert all(math.isnan(k) and not trusted for _, _, k, trusted, _ in rows)
+        meta = json.loads((tmp_path / "grid.csv.meta.json").read_text())
+        assert [f["axis"] for f in meta["failures"]] == sorted({a for _, a, *_ in rows})
+        for failure in meta["failures"]:
+            assert failure["method"] == "abm"
+            assert failure["reason"].startswith("ABM predictor produced nonpositive capital")
+
+    def test_sidecar_without_failures_has_no_failure_list(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--preset", "fig-ktq-frac", "--axis-count", "2",
+                             "--method", "both", "--out", str(out_path))
+        assert code == 0
+        assert "failures" not in json.loads((tmp_path / "grid.csv.meta.json").read_text())
+
     def test_make_figures_matches_cli(self, capsys, tmp_path):
         path = Path(__file__).resolve().parents[1] / "scripts" / "make_figures.py"
         spec = importlib.util.spec_from_file_location("make_figures", path)
@@ -213,3 +236,15 @@ class TestCompare:
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--t-max", "2.0", "--tol", "1e-16")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["compare", "solve"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--samples", "0", "samples must be at least 2, got 0"),
+        ("--samples", "1", "samples must be at least 2, got 1"),
+        ("--t-max", "0", "t_max must be positive, got 0.0"),
+    ])
+    def test_degenerate_grid_is_usage_error(self, capsys, command, flag, value, message):
+        code, out, err = run_cli(capsys, command, "--alpha", "0.8", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
