@@ -42,10 +42,9 @@ __all__ = [
 DEFAULT_ORDER = 5
 MAX_ORDER = 64
 # Measured, not derived: at alpha = 1 and order 5 over p in [0.2, 1],
-# q in [0.1, 0.4], mu in [0.1, 0.9], k0 in [0.5, 2], t in [0, 2], the error of
-# a trusted point stays below half the last-term ratio, so 0.02 keeps trusted
-# points within 1e-2 of the exact solution there (tests/test_series.py).
-# Outside that box the rule carries no stated bound.
+# q in [0.1, 0.4], mu in [0.1, 0.9], k0 in [0.5, 2], t in [0, 2], 0.02 keeps
+# trusted points within 1e-2 of the exact solution (tests/test_series.py);
+# 0.05 let them drift up to 2.6e-2.  Outside that box the rule has no stated bound.
 TRUST_TOL = 0.02
 
 
