@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -226,9 +227,10 @@ def _cmd_equilibria(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
+    params = _params_from(args, config, REFERENCE_PARAMS.with_(alpha=0.8))
     from .transforms import run_all_verifications
 
-    reports = run_all_verifications(_params_from(args, config, REFERENCE_PARAMS.with_(alpha=0.8)))
+    reports = run_all_verifications(params)
     failed = []
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
@@ -249,6 +251,8 @@ ORACLE_NAMES = {"exact": "exact-classical", "abm": "abm-fractional"}
 
 
 def _cmd_compare(args, config) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {args.tol}")
     params = _params_from(args, config)
     times = time_grid(_merged(args, config, "t_max", 0.5),
                       int(_merged(args, config, "samples", 21)))

@@ -28,16 +28,13 @@ class ModelParams:
     k0: float = 1.0
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p}")
-        if not self.q > 0:
-            raise ValueError(f"q must be positive, got {self.q}")
+        check_positive("p", self.p)
+        check_positive("q", self.q)
         if not 0 < self.mu < 1:
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.k0 > 0:
-            raise ValueError(f"k0 must be positive, got {self.k0}")
+        check_positive("k0", self.k0)
 
     @property
     def k_star(self) -> float:
@@ -58,6 +55,14 @@ class ModelParams:
     def at_equilibrium(self) -> bool:
         """True when k0 sits exactly (in floating point) on a fixed point."""
         return self.rhs(self.k0) == 0.0 or self.k0 == self.k_star
+
+
+def check_positive(name: str, value: float) -> None:
+    """ValueError unless `value` is positive and finite."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 # Desk-scale reference set used throughout tests and presets.

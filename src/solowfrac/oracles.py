@@ -6,7 +6,9 @@ Two backends that share no code with the series engine:
   v = k**(1-mu) which linearizes dk/dt = p*k**mu - q*k;
 * an Adams-Bashforth-Moulton predictor-corrector for the Caputo problem
   (product-rectangle predictor, product-trapezoid corrector, one corrector
-  iteration, full history).
+  iteration, full history).  Its weight tables are built once per run, and
+  each memory sum is the builtin `sum`, oldest history term first: plain
+  left-to-right addition up to CPython 3.11 (3.12 compensates, ~1 ulp off).
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
-from .model import ModelParams, validate_times
+from .model import ModelParams, check_positive, validate_times
 from .special import ln_gamma
 
 __all__ = ["Trajectory", "solve_exact_classical", "solve_abm_fractional"]
@@ -69,12 +72,12 @@ def solve_abm_fractional(
     """Adams-Bashforth-Moulton solution of the Caputo initial-value problem.
 
     Uniform grid of `steps` intervals on [0, t_end].  Full-history memory
-    term, O(steps^2) overall; correctness over speed, this is an oracle.
+    term from precomputed weight tables, O(steps^2) overall.  ArithmeticError
+    when a step leaves capital nonpositive or non-finite.
     With refine_check=True a (steps, 2*steps) comparison at t_end emits a
     warning when the two disagree by more than 1e-3 relative.
     """
-    if not t_end > 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    check_positive("t_end", t_end)
     if steps < MIN_ABM_STEPS:
         raise ValueError(f"steps must be at least {MIN_ABM_STEPS}, got {steps}")
 
@@ -100,40 +103,39 @@ def _abm_run(params: ModelParams, t_end: float, steps: int) -> Trajectory:
 
     k = [params.k0]
     f = [params.rhs(params.k0)]
+    f_tail = []  # f[1:], the corrector's history
 
-    # Power tables reused by both weight families.
     pow_a = [j ** alpha for j in range(steps + 2)]
     pow_a1 = [j ** (alpha + 1.0) for j in range(steps + 2)]
+    # Weights b_m = (m+1)^a - m^a and c_m = (m+1)^(a+1) + (m-1)^(a+1) - 2 m^(a+1),
+    # reversed so that from index steps - 1 - n they line up with f and f_tail.
+    b_rev = [pow_a[m + 1] - pow_a[m] for m in range(steps - 1, -1, -1)]
+    c_rev = [pow_a1[m + 1] + pow_a1[m - 1] - 2.0 * pow_a1[m] for m in range(steps - 1, 0, -1)]
 
     for n in range(steps):
-        # Predictor: product-rectangle rule, weights
-        # b_j = (h^a / a) * ((n+1-j)^a - (n-j)^a).
-        acc = 0.0
-        for j in range(n + 1):
-            acc += (pow_a[n + 1 - j] - pow_a[n - j]) * f[j]
+        # Predictor: product-rectangle rule.
+        acc = sum(map(mul, b_rev[steps - 1 - n:], f), 0.0)
         k_pred = params.k0 + inv_gamma_a * (h_alpha / alpha) * acc
-
-        if k_pred <= 0:
-            raise ArithmeticError(
-                f"ABM predictor produced nonpositive capital {k_pred} at "
-                f"t={h * (n + 1):.6g}; the model is only meaningful for k > 0"
-            )
-
-        # Corrector: product-trapezoid rule.
-        acc = (pow_a1[n] - (n - alpha) * pow_a[n + 1]) * f[0]
-        for j in range(1, n + 1):
-            acc += (
-                pow_a1[n - j + 2] + pow_a1[n - j] - 2.0 * pow_a1[n - j + 1]
-            ) * f[j]
+        if not 0.0 < k_pred < math.inf:
+            _bad_capital("predictor", k_pred, h * (n + 1))
+        # Corrector: product-trapezoid rule, its j = 0 term as the start.
+        acc = sum(map(mul, c_rev[steps - 1 - n:], f_tail),
+                  (pow_a1[n] - (n - alpha) * pow_a[n + 1]) * f[0])
         k_next = params.k0 + inv_gamma_a2 * h_alpha * (params.rhs(k_pred) + acc)
-
-        if k_next <= 0:
-            raise ArithmeticError(
-                f"ABM corrector produced nonpositive capital {k_next} at "
-                f"t={h * (n + 1):.6g}; the model is only meaningful for k > 0"
-            )
+        if not 0.0 < k_next < math.inf:
+            _bad_capital("corrector", k_next, h * (n + 1))
         k.append(k_next)
         f.append(params.rhs(k_next))
+        f_tail.append(f[-1])
 
     times = tuple(i * h for i in range(steps + 1))
     return Trajectory(times=times, values=tuple(k), method="abm-fractional")
+
+
+def _bad_capital(stage: str, k: float, t: float):
+    if k <= 0:
+        raise ArithmeticError(
+            f"ABM {stage} produced nonpositive capital {k} at "
+            f"t={t:.6g}; the model is only meaningful for k > 0"
+        )
+    raise ArithmeticError(f"ABM {stage} produced non-finite capital {k} at t={t:.6g}")

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .model import ModelParams
+from .model import ModelParams, check_positive
 from .oracles import solve_abm_fractional, solve_exact_classical
 from .series import DEFAULT_ORDER, build_series, check_order, eval_series
 
@@ -74,8 +74,7 @@ class SweepConfig:
         if not hi > lo:
             raise ValueError("axis range must be increasing")
         t_max, t_count = self.t_range
-        if not t_max > 0:
-            raise ValueError(f"t_max must be positive, got {t_max}")
+        check_positive("t_max", t_max)
         if t_count < 2:
             raise ValueError(f"time count must be at least 2, got {t_count}")
         # The whole axis must produce valid parameter sets.
@@ -178,8 +177,7 @@ def time_grid(t_max: float, samples: int) -> list[float]:
     """`samples` uniform times from 0 to `t_max`; ValueError on a degenerate grid."""
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
-    if not t_max > 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    check_positive("t_max", t_max)
     return [i * t_max / (samples - 1) for i in range(samples)]
 
 

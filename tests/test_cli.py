@@ -54,6 +54,52 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    def test_non_finite_abm_capital_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--p", "1e300", "--alpha", "0.8",
+                                 "--method", "abm", "--samples", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: ABM corrector produced non-finite capital inf at t=0.0078125\n"
+
+
+# One request per subcommand that would otherwise run to completion.
+SUBCOMMANDS = {
+    "solve": ["solve", "--alpha", "0.8", "--method", "abm", "--samples", "3"],
+    "sweep": ["sweep", "--preset", "fig-ktq-frac", "--method", "both"],
+    "equilibria": ["equilibria", "--json"],
+    "verify": ["verify"],
+    "compare": ["compare", "--alpha", "0.8"],
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+    @pytest.mark.parametrize("flag", ["--p", "--q", "--k0"])
+    def test_parameter_is_usage_error(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, *SUBCOMMANDS[command], flag, "inf")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag[2:]} must be finite, got inf\n"
+
+    @pytest.mark.parametrize("argv", [
+        SUBCOMMANDS["solve"],
+        ["solve", "--method", "series"],
+        SUBCOMMANDS["sweep"],
+        SUBCOMMANDS["compare"],
+    ])
+    def test_t_max_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--t-max", "inf")
+        assert code == 2
+        assert out == ""
+        assert err == "error: t_max must be finite, got inf\n"
+
+    def test_config_file_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k0 = inf\n")
+        code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert err == "error: k0 must be finite, got inf\n"
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, capsys, tmp_path):
@@ -160,6 +206,21 @@ class TestSweep:
             assert failure["method"] == "abm"
             assert failure["reason"].startswith("ABM predictor produced nonpositive capital")
 
+    def test_sidecar_records_non_finite_abm_cells(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--alpha", "0.8", "--axis", "p", "--axis-min", "1e299",
+            "--axis-max", "1e300", "--axis-count", "2", "--method", "abm",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        _, rows = parse_csv(out_path.read_text())
+        assert all(math.isnan(k) and not trusted for _, _, k, trusted, _ in rows)
+        meta = json.loads((tmp_path / "grid.csv.meta.json").read_text())
+        assert [f["axis"] for f in meta["failures"]] == [1e299, 1e300]
+        for failure in meta["failures"]:
+            assert failure["reason"].startswith("ABM corrector produced non-finite capital")
+
     def test_sidecar_without_failures_has_no_failure_list(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
         code, _, _ = run_cli(capsys, "sweep", "--preset", "fig-ktq-frac", "--axis-count", "2",
@@ -236,6 +297,13 @@ class TestCompare:
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--t-max", "2.0", "--tol", "1e-16")
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "compare", "--alpha", "0.8", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tol must be nonnegative and finite, got {float(tol)}\n"
 
     @pytest.mark.parametrize("command", ["compare", "solve"])
     @pytest.mark.parametrize("flag, value, message", [

@@ -1,6 +1,7 @@
 """Oracle solver tests: exact classical closed form and fractional ABM."""
 
 import math
+import random
 
 import pytest
 
@@ -11,6 +12,61 @@ from solowfrac.oracles import (
     solve_abm_fractional,
     solve_exact_classical,
 )
+from solowfrac.special import ln_gamma
+
+
+def _abm_reference(params, t_end, steps):
+    """ABM values from the memory sums written as plain double loops.
+
+    The solver precomputes its weights and sums with the builtin `sum`; it
+    must reproduce these values bit for bit and fail where and how this does.
+    """
+    alpha = params.alpha
+    h = t_end / steps
+    h_alpha = h ** alpha
+    inv_gamma_a = math.exp(-ln_gamma(alpha))
+    inv_gamma_a2 = math.exp(-ln_gamma(alpha + 2.0))
+
+    k = [params.k0]
+    f = [params.rhs(params.k0)]
+    pow_a = [j ** alpha for j in range(steps + 2)]
+    pow_a1 = [j ** (alpha + 1.0) for j in range(steps + 2)]
+
+    for n in range(steps):
+        acc = 0.0
+        for j in range(n + 1):
+            acc += (pow_a[n + 1 - j] - pow_a[n - j]) * f[j]
+        k_pred = params.k0 + inv_gamma_a * (h_alpha / alpha) * acc
+        if k_pred <= 0:
+            raise ArithmeticError(
+                f"ABM predictor produced nonpositive capital {k_pred} at "
+                f"t={h * (n + 1):.6g}; the model is only meaningful for k > 0"
+            )
+        acc = (pow_a1[n] - (n - alpha) * pow_a[n + 1]) * f[0]
+        for j in range(1, n + 1):
+            acc += (
+                pow_a1[n - j + 2] + pow_a1[n - j] - 2.0 * pow_a1[n - j + 1]
+            ) * f[j]
+        k_next = params.k0 + inv_gamma_a2 * h_alpha * (params.rhs(k_pred) + acc)
+        if k_next <= 0:
+            raise ArithmeticError(
+                f"ABM corrector produced nonpositive capital {k_next} at "
+                f"t={h * (n + 1):.6g}; the model is only meaningful for k > 0"
+            )
+        k.append(k_next)
+        f.append(params.rhs(k_next))
+    return tuple(k)
+
+
+def _draws(seed, count):
+    """(params, t_end) over the benchmark's parameter box, alpha over (0, 1]
+    starting with both ends of the range."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alpha = (0.05, 1.0)[i] if i < 2 else 1.0 - rng.random()
+        params = ModelParams(p=rng.uniform(0.3, 0.8), q=rng.uniform(0.1, 0.3),
+                             mu=rng.uniform(0.2, 0.5), alpha=alpha, k0=rng.uniform(0.5, 2.0))
+        yield params, rng.uniform(0.3, 2.0)
 
 
 class TestExactClassical:
@@ -124,6 +180,38 @@ class TestABM:
             solve_abm_fractional(REFERENCE_PARAMS, t_end=1.0, steps=8)
         with pytest.raises(ValueError):
             solve_abm_fractional(REFERENCE_PARAMS, t_end=0.0, steps=64)
+
+
+class TestABMReference:
+    @pytest.mark.parametrize("steps, count", [(16, 12), (17, 12), (280, 6), (2048, 3)])
+    def test_bit_identical_to_double_loop(self, steps, count):
+        for params, t_end in _draws(steps, count):
+            traj = solve_abm_fractional(params, t_end=t_end, steps=steps)
+            assert traj.values == _abm_reference(params, t_end, steps)
+
+    @pytest.mark.parametrize("params, t_end, stage", [
+        (REFERENCE_PARAMS.with_(alpha=0.8, q=1e300), 2.0, "predictor"),
+        (REFERENCE_PARAMS.with_(alpha=0.8), 1e306, "corrector"),
+    ])
+    def test_failure_matches_double_loop(self, params, t_end, stage):
+        with pytest.raises(ArithmeticError) as expected:
+            _abm_reference(params, t_end, 256)
+        with pytest.raises(ArithmeticError) as got:
+            solve_abm_fractional(params, t_end=t_end, steps=256)
+        assert str(expected.value).startswith(f"ABM {stage} produced nonpositive capital")
+        assert str(got.value) == str(expected.value)
+
+    def test_non_finite_capital_fails(self):
+        # The double loop lets the overflow through as NaN values.
+        params = REFERENCE_PARAMS.with_(alpha=0.8, p=1e300)
+        assert any(math.isnan(v) for v in _abm_reference(params, 2.0, 256))
+        with pytest.raises(ArithmeticError) as exc:
+            solve_abm_fractional(params, t_end=2.0, steps=256)
+        assert str(exc.value) == "ABM corrector produced non-finite capital inf at t=0.0078125"
+
+    def test_non_finite_t_end_rejected(self):
+        with pytest.raises(ValueError, match="t_end must be finite, got inf"):
+            solve_abm_fractional(REFERENCE_PARAMS, t_end=math.inf, steps=64)
 
 
 class TestTrajectoryType:

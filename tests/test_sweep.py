@@ -69,6 +69,10 @@ class TestSweepConfig:
             small_config(axis_range=(0.1, 0.4, 1))
         with pytest.raises(ValueError):
             small_config(method="rk4")
+        with pytest.raises(ValueError, match="t_max must be finite, got inf"):
+            small_config(t_range=(math.inf, 5))
+        with pytest.raises(ValueError, match="t_max must be positive, got nan"):
+            small_config(t_range=(math.nan, 5))
         with pytest.raises(ValueError):
             # axis range leaves the valid parameter domain (mu must stay < 1)
             small_config(axis="mu", axis_range=(0.5, 1.5, 3))
@@ -171,6 +175,8 @@ class TestRunSolve:
             run_solve(REFERENCE_PARAMS, t_max=1.0, samples=1, method="series")
         with pytest.raises(ValueError):
             run_solve(REFERENCE_PARAMS, t_max=0.0, samples=5, method="series")
+        with pytest.raises(ValueError, match="t_max must be finite, got inf"):
+            run_solve(REFERENCE_PARAMS, t_max=math.inf, samples=5, method="series")
         with pytest.raises(ValueError):
             run_solve(REFERENCE_PARAMS.with_(alpha=0.8), t_max=1.0, samples=5, method="exact")
         with pytest.raises(ValueError):
@@ -199,6 +205,13 @@ class TestEvaluate:
         values, trusted, reason = evaluate(
             REFERENCE_PARAMS.with_(alpha=0.8), [0.0, 0.5, 1.0], "exact")
         assert "alpha = 1" in reason
+        assert all(math.isnan(k) for k in values)
+        assert trusted == [False] * 3
+
+    def test_non_finite_abm_capital_gives_reason(self):
+        values, trusted, reason = evaluate(
+            REFERENCE_PARAMS.with_(alpha=0.8, p=1e300), [0.0, 1.0, 2.0], "abm")
+        assert reason == "ABM corrector produced non-finite capital inf at t=0.0078125"
         assert all(math.isnan(k) for k in values)
         assert trusted == [False] * 3
 
