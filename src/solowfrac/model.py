@@ -38,8 +38,15 @@ class ModelParams:
 
     @property
     def k_star(self) -> float:
-        """Nonzero equilibrium (p/q)**(1/(1-mu))."""
-        return (self.p / self.q) ** (1.0 / (1.0 - self.mu))
+        """Nonzero equilibrium (p/q)**(1/(1-mu)); OverflowError past double range."""
+        try:
+            k = (self.p / self.q) ** (1.0 / (1.0 - self.mu))
+        except OverflowError:
+            k = math.inf
+        if k == math.inf:
+            raise OverflowError(f"k_star = (p/q)**(1/(1-mu)) overflows double precision "
+                                f"at p={self.p}, q={self.q}, mu={self.mu}")
+        return k
 
     def rhs(self, k: float) -> float:
         """Right-hand side p*k**mu - q*k."""

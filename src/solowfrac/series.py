@@ -68,7 +68,10 @@ def check_order(order: int) -> None:
 
 
 def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> SeriesSolution:
-    """Series coefficients up to the requested truncation order."""
+    """Series coefficients up to the requested truncation order.
+
+    ArithmeticError names the first order whose coefficient is not finite.
+    """
     check_order(order)
     alpha = params.alpha
     c = [params.k0]
@@ -83,6 +86,9 @@ def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> SeriesSolut
             a = adomian_power_coeffs(params.mu, c)
             rate = params.p * a[n] - params.q * c[n]
         c.append(rate * gamma_ratio(n * alpha + 1.0, (n + 1) * alpha + 1.0))
+        if not math.isfinite(c[-1]):
+            raise ArithmeticError(f"series coefficient at order {n + 1} is {c[-1]}: "
+                                  "the series overflows double precision")
     return SeriesSolution(params=params, order=order, coeffs=tuple(c))
 
 

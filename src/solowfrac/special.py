@@ -2,11 +2,15 @@
 
 Every series coefficient and every transform oracle in this package funnels
 through ``ln_gamma`` / ``gamma_ratio``; ``mittag_leffler`` backs the transform
-identity checks. All functions are pure and thread-safe.
+identity checks.  Two routes serve E_alpha(z) besides exp at alpha = 1: a
+compensated Taylor sum near z = 0 and for z > 0, and a trapezoid rule on a
+Hankel-type contour for z < 0 with alpha < 1.  Only ``math`` and ``cmath``
+are imported.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -17,8 +21,6 @@ __all__ = [
     "gamma_ratio",
     "mittag_leffler",
     "ML_Z_MAX_POS",
-    "ML_Z_MAX_NEG",
-    "ML_ALPHA_MIN_NEG",
 ]
 
 # Lanczos approximation, g = 7, 9 terms.  Relative accuracy is a few ulp for
@@ -37,18 +39,15 @@ _LANCZOS_COEFS = (
 )
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Supported Mittag-Leffler domain.  Positive arguments additionally require
-# the value to be representable in double precision (z**(1/alpha) bounded).
-# Negative arguments are limited by Taylor cancellation; three routes cover
-# them (double Taylor, asymptotic tail expansion, arbitrary precision), so
-# the negative cap is generous.  alpha = 1 is the exponential exactly.
+# Supported Mittag-Leffler domain: z <= ML_Z_MAX_POS, and for z > 0 the value
+# must be representable in double precision (z**(1/alpha) bounded).  alpha = 1
+# is the exponential exactly.
 ML_Z_MAX_POS = 50.0
-ML_Z_MAX_NEG = 100.0
-ML_ALPHA_MIN_NEG = 0.3
 _ML_OVERFLOW_EXPONENT = 700.0  # exp(700) is near the double-precision ceiling
 _ML_DOUBLE_PEAK_LIMIT = math.log(1e3)  # accumulated eps * peak stays below ~1e-12
-_ML_ASYM_TERM_TOL = 1e-12
-_ML_SPECTRAL_AGREE_TOL = 1e-12
+# Below this |z| the Taylor sum is used for every alpha: the contour's error
+# is up to 3e-13 absolute everywhere, so near z = 0 it can return values above 1.
+_ML_TAYLOR_ABS_Z = 0.5
 
 
 @dataclass(frozen=True)
@@ -117,103 +116,53 @@ def _ml_taylor_double(alpha: float, z: float) -> float:
     return total
 
 
-def _ml_taylor_mp(alpha: float, z: float, extra_digits: int) -> float:
-    """Arbitrary-precision Taylor summation for the cancellation-heavy region."""
-    import mpmath as mp
+def _ml_contour_nodes() -> tuple[tuple[complex, complex], ...]:
+    """(log s, weight) at u = k*h, k = 0..n, on the parabola s = m(1 + iu)**2.
 
-    with mp.workdps(25 + extra_digits):
-        a = mp.mpf(alpha)
-        zz = mp.mpf(z)
-        total = mp.mpf(1)
-        power = mp.mpf(1)
-        n = 1
-        while True:
-            power *= zz
-            term = power / mp.gamma(a * n + 1)
-            total += term
-            if abs(term) < mp.mpf(10) ** (-(25 + extra_digits)) * max(1, abs(total)) and n * alpha > abs(z) ** (1.0 / alpha):
-                break
-            n += 1
-            if n > 500000:
-                break
-        return float(total)
-
-
-def _ml_asymptotic_negative(alpha: float, z: float) -> tuple[float, float]:
-    """Large-|z| tail expansion for z < 0, 0 < alpha < 1.
-
-    E_alpha(z) ~ sum_{m>=1} (-1)^{m+1} |z|**(-m) / Gamma(1 - alpha*m).
-
-    The series is asymptotic: terms shrink, then diverge.  Sums up to the
-    smallest term and returns (value, smallest_term) so the caller can judge
-    whether the achievable accuracy suffices.  1/Gamma at negative arguments
-    is computed through the reflection formula in the log domain.
+    n = 32, m = pi*n/12 and h = 3/n (Weideman & Trefethen, Math. Comp. 76,
+    2007).  ds = 2im(1 + iu) du over 2*pi*i leaves m*h/pi per node, and the
+    weight also holds exp(s) * (1 + iu) / s.  The integrand at -u is the
+    conjugate of that at u, so u > 0 counts twice in place of k = -n..-1.
     """
-    x = -z
-    log_x = math.log(x)
+    n = 32
+    m = math.pi * n / 12.0
+    h = 3.0 / n
+    nodes = []
+    for k in range(n + 1):
+        w = complex(1.0, k * h)
+        s = m * w * w
+        weight = (1.0 if k == 0 else 2.0) * m * h / math.pi
+        nodes.append((cmath.log(s), weight * cmath.exp(s) * w / s))
+    return tuple(nodes)
+
+
+_ML_CONTOUR = _ml_contour_nodes()
+
+
+def _ml_contour(alpha: float, z: float) -> float:
+    """E_alpha(z) for z < 0 and 0 < alpha < 1: the trapezoid rule for the
+    Laplace inverse of s**(alpha-1) / (s**alpha - z) at t = 1 (Garrappa,
+    SIAM J. Numer. Anal. 53(3), 2015).
+
+    For z < 0 and alpha < 1 the denominator has no zero on the principal
+    sheet, so the contour integral is the whole value.  Measured error:
+    below 3e-13 absolute for alpha in [1e-4, 0.999], z in [-1000, -0.01].
+    """
     total = 0.0
-    smallest = math.inf
-    prev_env = math.inf
-    for m in range(1, 80):
-        s = alpha * m
-        # 1/Gamma(1 - s) = sin(pi*(1 - s)) * Gamma(s) / pi
-        sin_term = math.sin(math.pi * (1.0 - s))
-        log_env = ln_gamma(s) - m * log_x - math.log(math.pi)
-        if log_env > 700.0:
-            break
-        # Truncation quality is governed by the sin-free envelope: sin can
-        # pass near zero and produce a deceptively tiny individual term.
-        env = math.exp(log_env)
-        if env > prev_env:
-            break  # divergence onset; stop before the smallest term is lost
-        total += (-1) ** (m + 1) * sin_term * env
-        prev_env = env
-        smallest = min(smallest, env)
-        if env < 1e-18:
-            break
-    return total, smallest
-
-
-def _ml_spectral_negative(alpha: float, z: float, n: int) -> float:
-    """Spectral (complete-monotonicity) integral for z < 0, 0 < alpha < 1.
-
-    E_alpha(-x) = integral_0^inf exp(-r * x**(1/alpha)) * K(r) dr with the
-    spectral density
-
-        K(r) = (1/pi) * r**(alpha-1) * sin(alpha*pi)
-               / (r**(2*alpha) + 2 * r**alpha * cos(alpha*pi) + 1).
-
-    Evaluated by a double-exponential rule after scaling r so the
-    exponential decay has unit rate.  The kernel narrows into a spike as
-    alpha -> 1; callers must compare two node counts and fall back when
-    they disagree.
-    """
-    import numpy as np
-
-    x = -z
-    scale = x ** (1.0 / alpha)
-    u = np.linspace(-4.5, 4.5, n)
-    h = u[1] - u[0]
-    s = np.exp(u - np.exp(-u))  # s = r * scale
-    jac = h * s * (1.0 + np.exp(-u))
-    r = s / scale
-    sin_a = math.sin(alpha * math.pi)
-    cos_a = math.cos(alpha * math.pi)
-    density = (r ** (alpha - 1.0) * sin_a / math.pi) / (
-        r ** (2.0 * alpha) + 2.0 * r ** alpha * cos_a + 1.0
-    )
-    return float(np.dot(jac, np.exp(-s) * density / scale))
+    for log_s, weight in _ML_CONTOUR:
+        s_alpha = cmath.exp(alpha * log_s)
+        total += (weight * s_alpha / (s_alpha - z)).real
+    return total
 
 
 def mittag_leffler(p: MLParams) -> float:
     """One-parameter Mittag-Leffler function E_alpha(z) on the supported domain.
 
-    Route selection: exp(z) at alpha = 1; compensated double-precision Taylor
-    while the peak term leaves enough significand for 1e-10 absolute accuracy;
-    the asymptotic tail expansion for strongly negative z with alpha < 1; and
-    arbitrary-precision Taylor summation for the remaining cancellation band.
-    Raises ValueError outside the supported (alpha, z) region so the caller
-    can fall back to a numerical solver or reduce t.
+    Route selection: exp(z) at alpha = 1; a contour integral for z < -0.5
+    with alpha < 1; otherwise the compensated double-precision Taylor sum,
+    which for z > 0 is guarded against overflow and for z < 0 with alpha > 1
+    against cancellation.  Raises ValueError outside the supported (alpha, z)
+    region.
     """
     return _ml_eval(p.alpha, p.z)
 
@@ -227,37 +176,15 @@ def _ml_eval(alpha: float, z: float) -> float:
     if z > ML_Z_MAX_POS:
         raise ValueError(f"argument {z} exceeds supported maximum {ML_Z_MAX_POS}")
     if alpha == 1.0:
-        if z < -_ML_OVERFLOW_EXPONENT:
-            return 0.0
-        return math.exp(z)
-    if z < -ML_Z_MAX_NEG:
-        raise ValueError(f"argument {z} below supported minimum {-ML_Z_MAX_NEG}")
-    if z < 0 and alpha < ML_ALPHA_MIN_NEG:
-        raise ValueError(
-            f"negative arguments require alpha >= {ML_ALPHA_MIN_NEG}, got alpha={alpha}"
-        )
-    if z == 0.0:
-        return 1.0
-
+        return math.exp(z)  # underflows to 0.0 without raising
+    if z < -_ML_TAYLOR_ABS_Z and alpha < 1.0:
+        return _ml_contour(alpha, z)
     peak = _ml_peak_log_term(alpha, abs(z))
-    if z > 0:
-        if peak > _ML_OVERFLOW_EXPONENT:
-            raise ValueError(
-                f"E_{alpha}({z}) overflows double precision (peak log-term {peak:.1f})"
-            )
-        return _ml_taylor_double(alpha, z)
-    if peak <= _ML_DOUBLE_PEAK_LIMIT:
-        return _ml_taylor_double(alpha, z)
-    if alpha < 1.0:
-        value, smallest_term = _ml_asymptotic_negative(alpha, z)
-        if smallest_term <= _ML_ASYM_TERM_TOL:
-            return value
-        coarse = _ml_spectral_negative(alpha, z, 400)
-        fine = _ml_spectral_negative(alpha, z, 800)
-        if abs(fine - coarse) <= _ML_SPECTRAL_AGREE_TOL:
-            return fine
-    # Residual band (alpha near 1, where the spectral kernel is a spike):
-    # the Taylor series there needs only ~|z| terms, so extended precision
-    # stays cheap.
-    extra = int(peak / math.log(10.0)) + 10
-    return _ml_taylor_mp(alpha, z, extra)
+    if z > 0 and peak > _ML_OVERFLOW_EXPONENT:
+        raise ValueError(
+            f"E_{alpha}({z}) overflows double precision (peak log-term {peak:.1f})"
+        )
+    if z < 0 and peak > _ML_DOUBLE_PEAK_LIMIT:
+        raise ValueError(f"E_{alpha}({z}) cancels below double precision (peak "
+                         f"log-term {peak:.1f}); such negative arguments need alpha <= 1")
+    return _ml_taylor_double(alpha, z)

@@ -87,9 +87,7 @@ class SweepConfig:
         return [lo + i * step for i in range(count)]
 
     def times(self) -> list[float]:
-        t_max, count = self.t_range
-        step = t_max / (count - 1)
-        return [i * step for i in range(count)]
+        return time_grid(*self.t_range)
 
     def methods(self) -> list[str]:
         return methods_for(self.method, self.base.alpha, self.axis)

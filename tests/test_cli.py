@@ -61,6 +61,22 @@ class TestSolve:
         assert out == ""
         assert err == "error: ABM corrector produced non-finite capital inf at t=0.0078125\n"
 
+    @pytest.mark.parametrize("command", ["solve", "equilibria"])
+    def test_k_star_overflow_is_named(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--p", "1e300")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: k_star = (p/q)**(1/(1-mu)) overflows double precision "
+                       "at p=1e+300, q=0.2, mu=0.3333333333333333\n")
+
+    def test_series_overflow_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--p", "1e50", "--alpha", "0.8",
+                                 "--samples", "3", "--t-max", "0.5", "--order", "8")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: series coefficient at order 7 is -inf: "
+                       "the series overflows double precision\n")
+
 
 # One request per subcommand that would otherwise run to completion.
 SUBCOMMANDS = {
@@ -220,6 +236,22 @@ class TestSweep:
         assert [f["axis"] for f in meta["failures"]] == [1e299, 1e300]
         for failure in meta["failures"]:
             assert failure["reason"].startswith("ABM corrector produced non-finite capital")
+
+    def test_sidecar_records_series_overflow(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--alpha", "0.8", "--axis", "p", "--axis-min", "1e49",
+            "--axis-max", "1e50", "--axis-count", "2", "--t-count", "3", "--t-max", "0.5",
+            "--order", "8", "--out", str(out_path),
+        )
+        assert code == 0
+        _, rows = parse_csv(out_path.read_text())
+        assert all(math.isnan(k) and not trusted for _, _, k, trusted, _ in rows)
+        meta = json.loads((tmp_path / "grid.csv.meta.json").read_text())
+        assert [f["axis"] for f in meta["failures"]] == [1e49, 1e50]
+        for failure in meta["failures"]:
+            assert failure["method"] == "series"
+            assert failure["reason"].startswith("series coefficient at order 7 is -inf")
 
     def test_sidecar_without_failures_has_no_failure_list(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"

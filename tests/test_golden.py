@@ -18,43 +18,43 @@ from solowfrac.sweep import PRESETS, rows_to_csv, run_solve
 
 GOLDEN = {
     "sweep fig-ktalpha series csv":
-        "fd7c0498422f6e67d25fd389e67882a7130910e2dd2bd2a3434075636b16b7ca",
+        "3209d937c0ecba7bc7c79114846d5a5af964158842b7446afa16d4ae272fe7a6",
     "sweep fig-ktalpha series meta":
         "2432d5993b20ecd0a743653c8468b83e979bdba0a71d3132356248c77ff2fa40",
     "sweep fig-ktalpha both csv":
-        "f48c5bdd2e627997b1b499f6f76e7c0800159d7436ed875f83aac3a17e0a049a",
+        "fcfb780c50c64910e23709ceaa5328711122bbdfb9e55d346249a417eda33264",
     "sweep fig-ktalpha both meta":
         "f5e19767f9315dca08db15393b8a229cac896dc72f10534e75f2572168924f20",
     "sweep fig-ktmu series csv":
-        "e0e77c401ecc12ab3cfa0d49bb69a72a5eedf7bfe7b527c4f443c8bb389ab31d",
+        "b779fd60993a8be32fba3fab3f684ca75b58cef509e9a028e1f5aeccdeefaa2d",
     "sweep fig-ktmu series meta":
         "cec0e74e24c6e6b676d47032153e3842e0c0bb88325abf51207b3af43f268b6e",
     "sweep fig-ktmu both csv":
-        "182807e4243806ab6375525af1a7e08fcfa3ba1eaeb2da17faf90e9c0b8bb1e6",
+        "9d2da0636585bfbfeb375a9a9057e93d28cfda2e23664f2e52e2c7100db1de7a",
     "sweep fig-ktmu both meta":
         "57a6e5e35c88c988c24e132c321ae9d321d3dc53c80fbdf8bd682be7804875fe",
     "sweep fig-ktp series csv":
-        "8ae304e3267cca79dbcdbc73df211458e3176dca30559da35addadef036a1a84",
+        "8b43e1f84c4e35bc51d646f4a00f4cbbd73052e46d43ea55d0eb5006659b1fe5",
     "sweep fig-ktp series meta":
         "48166063d0469f674a91f6491f9cb2ccd79c4cd9a1d8c983fde636c2bd27dc1b",
     "sweep fig-ktp both csv":
-        "1a78b627d62665d1412c4d4ce6b4b177d891e1f8b54750bfccd29abaebef89ff",
+        "77a1712df741d89d386f3118c3a01c2115b61332e674faa1d42e3e36602f1f06",
     "sweep fig-ktp both meta":
         "ba1601615f472d2293a09d92ca5ad9c2c9869b552928c50489f6d09abcd67083",
     "sweep fig-ktq series csv":
-        "96543c6a6738a24b1931a0b09848d53cc99c67c07cfe4d03200270788a92c689",
+        "49e7595aa3dd8dcb0ead9d76a012d66cef46d512530cd3178a2be3ed69897fb4",
     "sweep fig-ktq series meta":
         "b5d52eb3ee8161210cfc964f7393b8a60a8b99c592ce42154f52dc743bdd2508",
     "sweep fig-ktq both csv":
-        "b30dc2fa0dc992745497b41f6c1999e166e54e027b493ef48cae1accba0e91fc",
+        "be513250c498053831f5a29bc6eda0a35163c04030b2af1f3f4c8f566785612a",
     "sweep fig-ktq both meta":
         "6b5f11e989b902870e7f452c9ce9f0a78fbdc77bdc286686ee770025d87b34e4",
     "sweep fig-ktq-frac series csv":
-        "8aa7f3922a16359d9bde6cb9149635d15a9a2943b8447f1d3c83b8977c720847",
+        "dd52f1fbc8769a05071539685db459382959831cf7d287bc8e01cdbae32ad7ec",
     "sweep fig-ktq-frac series meta":
         "3665602d04510a614c2ddda1cbe195426c62d540096fe87600393739709ed0c2",
     "sweep fig-ktq-frac both csv":
-        "512f3924ee1d2b6acd995099dc010ea0b8b0f8f8998c83db69014338fc7301ae",
+        "9b497410dea59a2ebce537057853d50a51bb7d83226ea20d24d715e454d3f029",
     "sweep fig-ktq-frac both meta":
         "b7996a3e20c3a40e0b1bed648a4fd4f10309270f53be7eead92e32e09c2e2974",
     "sweep custom both csv":
@@ -84,7 +84,7 @@ GOLDEN = {
     "compare alpha=0.8":
         "df445a3cd81a056cccd0fc070b1ed2c60ad88cf712b0946babcf112e9fefae30",
     "verify":
-        "34869b5161175207bdc2c1139e32fbe33e4fe949448b6d8162fc30e53e1bdced",
+        "12b01a7de154f128917c4c6b1f58956c740b8a1b80950c4d7d0b3d680b9bae4d",
 }
 
 

@@ -1,4 +1,4 @@
-"""Import cost: only `verify` and the test oracles load numpy and mpmath.
+"""Import cost: only `verify` loads numpy, and only the test oracles load mpmath.
 
 Each check runs in a fresh interpreter, because this test process has
 imported both libraries already.
@@ -35,8 +35,11 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = solowfrac.cli.main(argv)
     report["commands"].append([argv, code, heavy()])
-with contextlib.redirect_stdout(io.StringIO()):
-    report["verify"] = [solowfrac.cli.main(["verify"]), heavy()]
+report["verify"] = []
+for alpha in (None, "0.05", "0.95"):
+    argv = ["verify"] + (["--alpha", alpha] if alpha else [])
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["verify"].append([argv, solowfrac.cli.main(argv), heavy()])
 print(json.dumps(report))
 """
 
@@ -50,14 +53,15 @@ def run_fresh(program, *args):
 
 
 def test_only_verify_loads_numpy_and_mpmath():
+    # verify loads numpy for its quadrature; no command loads mpmath
     report = json.loads(run_fresh(PROGRAM, json.dumps(GUARDED)))
     assert report["import"] == []
     for argv, code, heavy in report["commands"]:
         assert code == 0, argv
         assert heavy == [], argv
-    code, heavy = report["verify"]
-    assert code == 0
-    assert "numpy" in heavy
+    for argv, code, heavy in report["verify"]:
+        assert code == 0, argv
+        assert heavy == ["numpy"], argv
 
 
 def test_every_export_resolves_as_attribute():

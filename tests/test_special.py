@@ -2,12 +2,12 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from solowfrac.special import (
     MLParams,
-    ML_Z_MAX_NEG,
     ML_Z_MAX_POS,
     gamma_ratio,
     ln_gamma,
@@ -18,6 +18,38 @@ from solowfrac.special import (
 LN_GAMMA_HALF = 0.5723649429247000870717136756765293558236
 GAMMA_RATIO_18_26 = 0.6514883681927939973752724226147581459083
 ML_HALF_MINUS_ONE = 0.4275835761558070044107503444905151808202
+
+ML_GRID_ALPHAS = (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.88,
+                  0.9, 0.95, 0.98, 0.999)
+ML_GRID_Z = (-0.01, -0.1, -0.5, -0.51, -1.0, -3.0, -10.0, -50.0, -100.0,
+             -300.0, -1000.0)
+
+
+def ml_negative_reference(alpha: float, x: float) -> float:
+    """E_alpha(-x) for 0 < alpha < 1 and x > 0 from its spectral integral, 20 digits.
+
+    E_alpha(-x) = integral_0^inf exp(-r x**(1/alpha)) K(r) dr with
+    K(r) = sin(alpha pi) r**(alpha-1) / (pi (r**(2 alpha) + 2 r**alpha cos(alpha pi) + 1)).
+    Substituting w = x r**alpha removes the r**(alpha-1) endpoint singularity:
+
+        E_alpha(-x) = sin(alpha pi) / (alpha pi)
+                      * integral_0^inf exp(-w**(1/alpha)) x / (w**2 + 2 w x cos(alpha pi) + x**2) dw.
+
+    Break points: the peak at w = x (sharp as alpha -> 1), the cut-off at
+    w = 1 and the start of its boundary layer (sharp as alpha -> 0), and
+    w = 60**alpha, past which exp(-w**(1/alpha)) < e**-60 is dropped.
+    """
+    with mp.workdps(20):
+        a = mp.mpf(alpha)
+        x = mp.mpf(x)
+        cos = mp.cos(a * mp.pi)
+        top = mp.mpf(60) ** a
+        points = {mp.mpf(0), mp.mpf(1), max(mp.mpf(0), 1 - 30 * a), top}
+        if x < top:
+            points.add(x)
+        integral = mp.quad(lambda w: mp.exp(-w ** (1 / a)) * x / (w * w + 2 * w * x * cos + x * x),
+                           sorted(points))
+        return float(mp.sin(a * mp.pi) / (a * mp.pi) * integral)
 
 
 class TestLnGamma:
@@ -92,9 +124,15 @@ class TestMittagLeffler:
 
     def test_half_negative_is_scaled_erfc(self):
         # E_{1/2}(-x) = exp(x^2) * erfc(x), an independent closed form
-        for x in (0.5, 2.0, 5.0, 9.0):
-            expected = math.exp(x * x) * math.erfc(x)
-            assert mittag_leffler(MLParams(0.5, -x)) == pytest.approx(expected, abs=1e-10)
+        for x in (0.5, 2.0, 5.0, 9.0, 30.0, 100.0, 300.0, 1000.0):
+            expected = float(mp.exp(mp.mpf(x) ** 2) * mp.erfc(x))
+            assert mittag_leffler(MLParams(0.5, -x)) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", ML_GRID_ALPHAS)
+    def test_negative_axis_against_spectral_integral(self, alpha):
+        for z in ML_GRID_Z:
+            expected = ml_negative_reference(alpha, -z)
+            assert abs(mittag_leffler(MLParams(alpha, z)) - expected) <= 1e-12, z
 
     @pytest.mark.parametrize("z", [-10.0, -6.5, -3.0, -1.0, 0.0, 0.5, 2.0, 5.0])
     def test_alpha_one_matches_exp_on_interval(self, z):
@@ -109,16 +147,17 @@ class TestMittagLeffler:
     def test_two_parameter_orders(self):
         # E_2(x^2) = cosh(x)
         assert mittag_leffler(MLParams(2.0, 4.0)) == pytest.approx(math.cosh(2.0), rel=1e-10)
+        # E_2(-x^2) = cos(x): alpha > 1 at z < 0 stays on the Taylor sum
+        assert mittag_leffler(MLParams(2.0, -4.0)) == pytest.approx(math.cos(2.0), abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             mittag_leffler(MLParams(0.5, ML_Z_MAX_POS + 1.0))
         with pytest.raises(ValueError):
-            mittag_leffler(MLParams(0.5, -(ML_Z_MAX_NEG + 1.0)))
-        with pytest.raises(ValueError):
-            mittag_leffler(MLParams(0.2, -1.0))  # too small an order for negative z
-        with pytest.raises(ValueError):
             mittag_leffler(MLParams(2.5, 1.0))
+        with pytest.raises(ValueError):
+            # alpha > 1: the Taylor sum would cancel too far in double precision
+            mittag_leffler(MLParams(1.5, -30.0))
         with pytest.raises(ValueError):
             # value not representable in double precision
             mittag_leffler(MLParams(0.4, 40.0))
@@ -130,13 +169,18 @@ class TestMittagLeffler:
             MLParams(0.5, math.inf)
 
     @given(
-        alpha=st.floats(min_value=0.3, max_value=1.0),
-        z=st.floats(min_value=-20.0, max_value=3.0),
+        alpha=st.floats(min_value=1e-4, max_value=1.0),
+        z=st.floats(min_value=-1000.0, max_value=0.0),
     )
     @settings(max_examples=60, deadline=None)
     def test_bounded_and_positive_on_negative_axis(self, alpha, z):
-        val = mittag_leffler(MLParams(alpha, z))
-        assert math.isfinite(val)
-        if z <= 0:
-            # completely monotone on the negative axis for alpha <= 1
-            assert 0.0 < val <= 1.0
+        # completely monotone on the negative axis for alpha <= 1
+        assert 0.0 < mittag_leffler(MLParams(alpha, z)) <= 1.0
+
+    @given(
+        alpha=st.floats(min_value=0.3, max_value=1.0),
+        z=st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_finite_on_short_positive_axis(self, alpha, z):
+        assert math.isfinite(mittag_leffler(MLParams(alpha, z)))
