@@ -2,8 +2,8 @@
 capital-accumulation equation: truncated decomposition series, independent
 numerical oracles, equilibrium analysis and parameter-sweep grids.
 
-The exports load their submodule on first access (PEP 562), so a series
-solve never imports numpy (transforms) or mpmath (test oracles).
+Pure Python with no runtime dependency.  The exports load their submodule
+on first access (PEP 562), so a series solve never imports transforms.
 """
 
 import importlib
@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "model": ("ModelParams", "REFERENCE_PARAMS"),
     "special": ("MLParams", "ln_gamma", "gamma_ratio", "mittag_leffler"),
-    "adomian": ("adomian_power_coeffs", "adomian_bruteforce_oracle"),
+    "adomian": ("adomian_power_coeffs",),
     "series": ("SeriesSolution", "build_series", "eval_series", "classical_taylor_check"),
     "oracles": ("Trajectory", "solve_exact_classical", "solve_abm_fractional"),
     "equilibrium": ("EquilibriumReport", "find_equilibria", "balanced_growth_capital"),

@@ -46,12 +46,19 @@ def exact_classical_value(params: ModelParams, t: float) -> float:
     k(t) = [p/q + (k0**(1-mu) - p/q) * exp(-q*(1-mu)*t)]**(1/(1-mu)).
 
     Verified against an adaptive ODE integrator in the test suite before
-    anything else relies on it.
+    anything else relies on it.  OverflowError past double range.
     """
     one_minus_mu = 1.0 - params.mu
     ratio = params.p / params.q
     v = ratio + (params.k0 ** one_minus_mu - ratio) * math.exp(-params.q * one_minus_mu * t)
-    return v ** (1.0 / one_minus_mu)
+    try:
+        k = v ** (1.0 / one_minus_mu)
+    except OverflowError:
+        k = math.inf
+    if not k < math.inf:  # inf, or nan from p/q = inf
+        raise OverflowError(f"exact k(t) = v**(1/(1-mu)) overflows double precision "
+                            f"at p={params.p}, q={params.q}, mu={params.mu}")
+    return k
 
 
 def solve_exact_classical(params: ModelParams, times: Sequence[float]) -> Trajectory:

@@ -91,7 +91,12 @@ def _ml_peak_log_term(alpha: float, absz: float) -> float:
     """
     if absz <= 1.0:
         return 0.0
-    n_star = max(1.0, absz ** (1.0 / alpha) / alpha)
+    try:
+        n_star = max(1.0, absz ** (1.0 / alpha) / alpha)
+    except OverflowError:
+        n_star = math.inf
+    if n_star == math.inf:
+        return math.inf  # above every guard
     return n_star * math.log(absz) - ln_gamma(alpha * n_star + 1.0)
 
 
@@ -101,10 +106,13 @@ def _ml_taylor_double(alpha: float, z: float) -> float:
     comp = 0.0
     term = 1.0
     n = 0
+    ln_gamma_prev = ln_gamma(1.0)
     while True:
         n += 1
-        # term_n = z**n / Gamma(alpha*n + 1)
-        term = term * z * gamma_ratio(alpha * (n - 1) + 1.0, alpha * n + 1.0)
+        # term_n = z**n / Gamma(alpha*n + 1), one ln_gamma per term
+        ln_gamma_n = ln_gamma(alpha * n + 1.0)
+        term = term * z * math.exp(ln_gamma_prev - ln_gamma_n)
+        ln_gamma_prev = ln_gamma_n
         y = term - comp
         t = total + y
         comp = (t - total) - y

@@ -7,7 +7,8 @@ first-derivative rule, the Caputo rule, the convolution property and the
 Mittag-Leffler transform pair.
 
 Quadrature: double-exponential rule on the half line (t = exp(x - exp(-x))),
-evaluated at increasing node counts with an agreement check.  Plain
+in pure Python: 401 nodes, checked against the 201-node rule on every
+second node (step halving, Takahasi & Mori, Publ. RIMS 9, 1974).  Plain
 Gauss-Laguerre was measured at only ~1e-4 accuracy for the t**alpha-type
 endpoint behaviour these checks exercise, far off the 1e-6 refinement
 target, so the double-exponential rule is used throughout.
@@ -19,9 +20,8 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .model import ModelParams
 from .oracles import exact_classical_value
@@ -37,42 +37,46 @@ __all__ = [
     "run_all_verifications",
 ]
 
-QUAD_LEVELS = (100, 200, 400)
+QUAD_NODES = 401  # odd, so every second node is the 201-node rule
 QUAD_AGREEMENT_TOL = 1e-6
 IDENTITY_TOL = 1e-5
 _DE_LOWER, _DE_UPPER = -4.5, 4.5
 
 
-def _de_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.linspace(_DE_LOWER, _DE_UPPER, n)
-    h = x[1] - x[0]
-    t = np.exp(x - np.exp(-x))
-    weight = h * t * (1.0 + np.exp(-x)) * np.exp(-t)
-    return t, weight
+@functools.lru_cache(maxsize=8)
+def _de_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    h = (_DE_UPPER - _DE_LOWER) / (n - 1)
+    t, weight = [], []
+    for i in range(n):
+        x = _DE_LOWER + i * h
+        ti = math.exp(x - math.exp(-x))
+        t.append(ti)
+        weight.append(h * ti * (1.0 + math.exp(-x)) * math.exp(-ti))
+    return tuple(t), tuple(weight)
 
 
 def sumudu_numeric(f: Callable[[float], float], u: float) -> float:
     """Transform value S[f](u) by half-line quadrature.
 
-    Evaluates the double-exponential rule at node counts QUAD_LEVELS and
-    warns when the last two levels disagree by more than 1e-6 absolute.
-    f must be evaluable on (0, ~90/u... in scaled time) and of exponential
-    order below 1/u.
+    Evaluates f once at each of the QUAD_NODES double-exponential nodes and
+    returns the compensated sum of the full rule.  Every second node, with
+    twice the weight, is the rule at half the nodes; a warning is issued when
+    the two disagree by more than 1e-6 absolute.  f must be evaluable on
+    (0, ~90*u] and of exponential order below 1/u.
     """
     if not u > 0:
         raise ValueError(f"transform variable must be positive, got {u}")
-    results = []
-    for n in QUAD_LEVELS:
-        t, w = _de_nodes(n)
-        vals = np.fromiter((f(ti * u) for ti in t), dtype=float, count=len(t))
-        results.append(float(np.dot(w, vals)))
-    if abs(results[-1] - results[-2]) > QUAD_AGREEMENT_TOL:
+    t, w = _de_nodes(QUAD_NODES)
+    terms = list(map(mul, w, [f(ti * u) for ti in t]))
+    fine = math.fsum(terms)
+    coarse = 2.0 * math.fsum(terms[::2])
+    if abs(fine - coarse) > QUAD_AGREEMENT_TOL:
         warnings.warn(
             f"transform quadrature refinements disagree by "
-            f"{abs(results[-1] - results[-2]):.2e} at u={u}",
+            f"{abs(fine - coarse):.2e} at u={u}",
             stacklevel=2,
         )
-    return results[-1]
+    return fine
 
 
 def sumudu_monomial(gamma: float, u: float) -> float:
@@ -186,9 +190,34 @@ def verify_derivative_rule(
     return report
 
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p_prev, p = 1.0, x
+    for k in range(2, n + 1):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 @functools.lru_cache(maxsize=8)
-def _leggauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(nodes)
+def _leggauss(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n from the Tricomi-type guess cos(pi(i+3/4)/(n+1/2))
+    for each positive root; the negative roots are their mirror images.
+    """
+    positive = []  # descending
+    for i in range(nodes // 2):
+        x = math.cos(math.pi * (i + 0.75) / (nodes + 0.5))
+        for _ in range(100):
+            p, dp = _legendre(nodes, x)
+            step = p / dp
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        positive.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    center = [(0.0, 2.0 / _legendre(nodes, 0.0)[1] ** 2)] if nodes % 2 else []
+    pairs = [(-x, w) for x, w in positive] + center + positive[::-1]
+    return tuple(x for x, _ in pairs), tuple(w for _, w in pairs)
 
 
 def _convolve(psi: Callable[[float], float], zeta: Callable[[float], float], t: float,
@@ -198,8 +227,8 @@ def _convolve(psi: Callable[[float], float], zeta: Callable[[float], float], t: 
         return 0.0
     x, w = _leggauss(nodes)
     half = 0.5 * t
-    pts = half * (x + 1.0)
-    return half * float(sum(wi * psi(t - xi) * zeta(xi) for wi, xi in zip(w, pts)))
+    pts = [half * (xi + 1.0) for xi in x]
+    return half * sum(wi * psi(t - si) * zeta(si) for wi, si in zip(w, pts))
 
 
 def verify_convolution(

@@ -10,7 +10,8 @@ import random
 import time
 from dataclasses import replace
 
-from solowfrac.adomian import adomian_power_coeffs, adomian_bruteforce_oracle
+from adomian_fd_oracle import adomian_bruteforce_oracle
+from solowfrac.adomian import adomian_power_coeffs
 from solowfrac.equilibrium import find_equilibria
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from solowfrac.cli import main
+from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.sweep import CSV_HEADER, parse_csv
 
 
@@ -67,6 +68,13 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert err == ("error: k_star = (p/q)**(1/(1-mu)) overflows double precision "
+                       "at p=1e+300, q=0.2, mu=0.3333333333333333\n")
+
+    def test_exact_overflow_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "solve", "--p", "1e300", "--method", "exact")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: exact k(t) = v**(1/(1-mu)) overflows double precision "
                        "at p=1e+300, q=0.2, mu=0.3333333333333333\n")
 
     def test_series_overflow_is_usage_error(self, capsys):
@@ -237,6 +245,23 @@ class TestSweep:
         for failure in meta["failures"]:
             assert failure["reason"].startswith("ABM corrector produced non-finite capital")
 
+    def test_sidecar_records_exact_overflow(self, capsys, tmp_path):
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--axis", "p", "--axis-min", "1e299", "--axis-max", "1e300",
+            "--axis-count", "2", "--method", "exact", "--out", str(out_path),
+        )
+        assert code == 0
+        _, rows = parse_csv(out_path.read_text())
+        assert all(math.isnan(k) and not trusted for _, _, k, trusted, _ in rows)
+        meta = json.loads((tmp_path / "grid.csv.meta.json").read_text())
+        assert meta["failures"] == [
+            {"axis": p, "method": "exact",
+             "reason": f"exact k(t) = v**(1/(1-mu)) overflows double precision "
+                       f"at p={p}, q=0.2, mu=0.3333333333333333"}
+            for p in (1e299, 1e300)
+        ]
+
     def test_sidecar_records_series_overflow(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
         code, _, _ = run_cli(
@@ -303,14 +328,17 @@ class TestVerify:
         assert len(lines) == 9
         assert all(l.startswith("PASS") for l in lines)
 
-    def test_model_flags_apply_without_alpha(self, capsys):
+    def test_model_flags_apply_without_alpha(self, capsys, monkeypatch):
         # verify defaults to alpha = 0.8; the other flags go on top of that
-        _, bare, _ = run_cli(capsys, "verify")
         code, shifted, _ = run_cli(capsys, "verify", "--p", "0.7")
         _, explicit, _ = run_cli(capsys, "verify", "--p", "0.7", "--alpha", "0.8")
         assert code == 0
         assert shifted == explicit
-        assert shifted != bare
+        received = []
+        monkeypatch.setattr("solowfrac.transforms.run_all_verifications",
+                            lambda params: received.append(params) or [])
+        assert run_cli(capsys, "verify", "--p", "0.7") == (0, "", "")
+        assert received == [REFERENCE_PARAMS.with_(p=0.7, alpha=0.8)]
 
 
 class TestCompare:

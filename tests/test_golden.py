@@ -84,7 +84,7 @@ GOLDEN = {
     "compare alpha=0.8":
         "df445a3cd81a056cccd0fc070b1ed2c60ad88cf712b0946babcf112e9fefae30",
     "verify":
-        "12b01a7de154f128917c4c6b1f58956c740b8a1b80950c4d7d0b3d680b9bae4d",
+        "089bdd780578147985dcc904936e16fb2a88f5b0fd88a2ac95e502b063bf64f2",
 }
 
 

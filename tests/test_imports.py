@@ -1,4 +1,4 @@
-"""Import cost: only `verify` loads numpy, and only the test oracles load mpmath.
+"""Import cost: no command loads numpy or mpmath; only the tests use them.
 
 Each check runs in a fresh interpreter, because this test process has
 imported both libraries already.
@@ -52,8 +52,8 @@ def run_fresh(program, *args):
     return proc.stdout
 
 
-def test_only_verify_loads_numpy_and_mpmath():
-    # verify loads numpy for its quadrature; no command loads mpmath
+def test_no_command_loads_numpy_or_mpmath():
+    # verify's quadrature is pure Python too
     report = json.loads(run_fresh(PROGRAM, json.dumps(GUARDED)))
     assert report["import"] == []
     for argv, code, heavy in report["commands"]:
@@ -61,14 +61,14 @@ def test_only_verify_loads_numpy_and_mpmath():
         assert heavy == [], argv
     for argv, code, heavy in report["verify"]:
         assert code == 0, argv
-        assert heavy == ["numpy"], argv
+        assert heavy == [], argv
 
 
 def test_every_export_resolves_as_attribute():
     out = run_fresh("import json, solowfrac\n"
                     "print(json.dumps([type(getattr(solowfrac, n)).__name__"
                     " for n in solowfrac.__all__]))\n")
-    assert len(json.loads(out)) == len(solowfrac.__all__) == 28
+    assert len(json.loads(out)) == len(solowfrac.__all__) == 27
     assert not hasattr(solowfrac, "no_such_name")
 
 

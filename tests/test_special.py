@@ -1,6 +1,7 @@
 """Gamma-family and Mittag-Leffler function tests."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -13,6 +14,7 @@ from solowfrac.special import (
     ln_gamma,
     mittag_leffler,
 )
+from solowfrac.special import _ml_taylor_double
 
 # Reference values computed with 40-digit arbitrary-precision arithmetic.
 LN_GAMMA_HALF = 0.5723649429247000870717136756765293558236
@@ -50,6 +52,26 @@ def ml_negative_reference(alpha: float, x: float) -> float:
         integral = mp.quad(lambda w: mp.exp(-w ** (1 / a)) * x / (w * w + 2 * w * x * cos + x * x),
                            sorted(points))
         return float(mp.sin(a * mp.pi) / (a * mp.pi) * integral)
+
+
+def ml_taylor_reference(alpha: float, z: float) -> float:
+    """The compensated Taylor sum with gamma_ratio, two ln_gamma calls a term."""
+    total = 1.0
+    comp = 0.0
+    term = 1.0
+    n = 0
+    while True:
+        n += 1
+        term = term * z * gamma_ratio(alpha * (n - 1) + 1.0, alpha * n + 1.0)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if abs(term) <= 1e-16 * max(1.0, abs(total)) and n * alpha > abs(z) ** (1.0 / alpha):
+            break
+        if n > 100000:
+            break
+    return total
 
 
 class TestLnGamma:
@@ -150,6 +172,13 @@ class TestMittagLeffler:
         # E_2(-x^2) = cos(x): alpha > 1 at z < 0 stays on the Taylor sum
         assert mittag_leffler(MLParams(2.0, -4.0)) == pytest.approx(math.cos(2.0), abs=1e-12)
 
+    def test_taylor_sum_bit_identical_to_gamma_ratio_loop(self):
+        rng = random.Random(14)
+        cases = [(rng.uniform(0.05, 2.0), rng.uniform(-0.5, 0.5)) for _ in range(200)]
+        cases += [(0.5, 3.0), (0.8, 10.0), (0.3, 2.0), (0.99, 40.0), (1.5, -3.0), (1.9, -5.0)]
+        for alpha, z in cases:
+            assert _ml_taylor_double(alpha, z) == ml_taylor_reference(alpha, z), (alpha, z)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             mittag_leffler(MLParams(0.5, ML_Z_MAX_POS + 1.0))
@@ -161,6 +190,9 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             # value not representable in double precision
             mittag_leffler(MLParams(0.4, 40.0))
+        with pytest.raises(ValueError):
+            # the peak index z**(1/alpha)/alpha itself overflows
+            mittag_leffler(MLParams(1e-4, 3.0))
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,16 @@
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.transforms import (
     IDENTITY_TOL,
+    QUAD_NODES,
+    _de_nodes,
+    _leggauss,
     VerificationReport,
     run_all_verifications,
     sumudu_monomial,
@@ -51,6 +56,18 @@ class TestSumuduNumeric:
         with pytest.warns(UserWarning):
             sumudu_numeric(lambda t: math.sin(500.0 * t), 1.0)
 
+    def test_one_evaluation_per_node(self):
+        points = []
+        sumudu_numeric(lambda t: points.append(t) or 1.0, 0.5)
+        assert len(points) == QUAD_NODES == 401
+
+    def test_every_second_node_is_the_coarse_rule(self):
+        fine_t, fine_w = _de_nodes(QUAD_NODES)
+        coarse_t, coarse_w = _de_nodes((QUAD_NODES + 1) // 2)
+        assert fine_t[::2] == coarse_t
+        for fine, coarse in zip(fine_w[::2], coarse_w):
+            assert 2.0 * fine == pytest.approx(coarse, rel=1e-15, abs=1e-300)
+
     def test_linearity_property(self):
         u = 0.4
         f = lambda t: t ** 1.5
@@ -58,6 +75,34 @@ class TestSumuduNumeric:
         left = sumudu_numeric(lambda t: 2.0 * f(t) + 3.0 * g(t), u)
         right = 2.0 * sumudu_numeric(f, u) + 3.0 * sumudu_numeric(g, u)
         assert left == pytest.approx(right, rel=1e-12)
+
+
+class TestGaussLegendre:
+    def test_nodes_and_weights_match_references(self):
+        n = 64
+        x, w = _leggauss(n)
+        np_x, np_w = np.polynomial.legendre.leggauss(n)
+        assert max(abs(a - b) for a, b in zip(x, np_x)) <= 1e-15
+        # numpy's weights are up to 2.3e-15 off the 30-digit values below
+        assert max(abs(a - b) for a, b in zip(w, np_w)) <= 3e-15
+        with mp.workdps(30):
+            for xi, wi in zip(x, w):
+                root = mp.findroot(lambda t: mp.legendre(n, t), mp.mpf(xi))
+                dp = n * (root * mp.legendre(n, root) - mp.legendre(n - 1, root)) / (root ** 2 - 1)
+                assert abs(xi - root) <= 1e-15
+                assert abs(wi - 2 / ((1 - root ** 2) * dp ** 2)) <= 1e-15
+
+    def test_exact_for_degree_below_128(self):
+        x, w = _leggauss(64)
+        for k in range(128):
+            got = math.fsum(wi * xi ** k for wi, xi in zip(w, x))
+            assert got == pytest.approx(2.0 / (k + 1) if k % 2 == 0 else 0.0, abs=1e-15)
+
+    def test_odd_count_has_a_center_node(self):
+        x, w = _leggauss(5)
+        assert x[2] == 0.0
+        assert w[2] == pytest.approx(128.0 / 225.0, rel=1e-15)
+        assert x == tuple(-xi for xi in reversed(x))
 
 
 class TestSumuduMonomial:
