@@ -15,7 +15,7 @@ _MODULE_EXPORTS = {
     "model": ("ModelParams", "REFERENCE_PARAMS"),
     "special": ("MLParams", "ln_gamma", "gamma_ratio", "mittag_leffler"),
     "adomian": ("adomian_power_coeffs",),
-    "series": ("SeriesSolution", "build_series", "eval_series", "classical_taylor_check"),
+    "series": ("SeriesSolution", "build_series", "eval_series"),
     "oracles": ("Trajectory", "solve_exact_classical", "solve_abm_fractional"),
     "equilibrium": ("EquilibriumReport", "find_equilibria", "balanced_growth_capital"),
     "transforms": ("sumudu_numeric", "sumudu_monomial", "verify_ml_identities",

@@ -14,6 +14,11 @@ Inverting the monomial transform at each order gives the scalar recursion
 with a_n the Adomian coefficient of k**mu at order n.  For alpha = 1 this is
 the classical Taylor recursion c_{n+1} = (p*a_n - q*c_n) / (n+1).
 
+``build_series`` carries the Adomian list a and ln Gamma(n*alpha + 1) from
+order to order: one O(n) ``miller_step`` and one ``ln_gamma`` per order, so
+O(N^2) per build.  It never calls ``adomian_power_coeffs``, so a trace puts
+the recurrence in build_series' own time and reads 0 on adomian's counters.
+
 The series is a local expansion: evaluations carry a trust flag based on the
 size of the last retained term.
 """
@@ -23,17 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .adomian import adomian_power_coeffs
+from .adomian import miller_step
 from .model import ModelParams
-from .special import gamma_ratio, ln_gamma
+from .special import ln_gamma
 
 __all__ = [
     "SeriesSolution",
     "build_series",
     "check_order",
     "eval_series",
-    "classical_taylor_check",
-    "fractional_low_order_coeffs",
     "DEFAULT_ORDER",
     "MAX_ORDER",
     "TRUST_TOL",
@@ -68,24 +71,27 @@ def check_order(order: int) -> None:
 
 
 def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> SeriesSolution:
-    """Series coefficients up to the requested truncation order.
+    """Series coefficients up to the requested truncation order, in O(order^2).
 
     ArithmeticError names the first order whose coefficient is not finite.
     """
     check_order(order)
-    alpha = params.alpha
+    alpha, mu, p, q = params.alpha, params.mu, params.p, params.q
     c = [params.k0]
+    a = [params.k0 ** mu]
     # An initial condition exactly on a fixed point must yield an exactly
     # constant series, so the first rate is pinned to zero in that case and
     # the recursion propagates the zeros on its own.
-    rate0 = 0.0 if params.at_equilibrium() else params.rhs(params.k0)
+    rate = 0.0 if params.at_equilibrium() else params.rhs(params.k0)
+    ln_gamma_n = ln_gamma(1.0)
     for n in range(order):
-        if n == 0:
-            rate = rate0
-        else:
-            a = adomian_power_coeffs(params.mu, c)
-            rate = params.p * a[n] - params.q * c[n]
-        c.append(rate * gamma_ratio(n * alpha + 1.0, (n + 1) * alpha + 1.0))
+        if n:
+            a.append(miller_step(mu, c, a))
+            rate = p * a[n] - q * c[n]
+        # Gamma(n*alpha + 1) / Gamma((n+1)*alpha + 1), one ln_gamma per order
+        ln_gamma_next = ln_gamma((n + 1) * alpha + 1.0)
+        c.append(rate * math.exp(ln_gamma_n - ln_gamma_next))
+        ln_gamma_n = ln_gamma_next
         if not math.isfinite(c[-1]):
             raise ArithmeticError(f"series coefficient at order {n + 1} is {c[-1]}: "
                                   "the series overflows double precision")
@@ -118,57 +124,3 @@ def eval_series(sol: SeriesSolution, t: float) -> tuple[float, bool]:
     scale = max(abs(sol.params.k0), abs(total))
     trusted = abs(last_term) <= TRUST_TOL * scale
     return total, trusted
-
-
-def classical_taylor_check(params: ModelParams, order: int = 3) -> list[float]:
-    """Closed-form Taylor coefficients of the classical (alpha = 1) model.
-
-    Derived directly from the ODE: with B = p*k0**mu - q*k0 and
-    D = p*mu*k0**(mu-1) - q,
-
-        c1 = B
-        c2 = B * D / 2!
-        c3 = B * (D**2 + p*mu*(mu-1)*k0**(mu-2) * B) / 3!
-
-    Only orders up to 3 have been worked out by hand; this exists purely to
-    cross-check ``build_series``.
-    """
-    if params.alpha != 1.0:
-        raise ValueError("classical Taylor check requires alpha = 1")
-    if not 1 <= order <= 3:
-        raise ValueError(f"closed forms are available for order in [1, 3], got {order}")
-    p, q, mu, k0 = params.p, params.q, params.mu, params.k0
-    b = 0.0 if params.at_equilibrium() else params.rhs(k0)
-    d = params.rhs_derivative(k0)
-    out = [k0, b]
-    if order >= 2:
-        out.append(b * d / 2.0)
-    if order >= 3:
-        out.append(b * (d * d + p * mu * (mu - 1.0) * k0 ** (mu - 2.0) * b) / 6.0)
-    return out
-
-
-def fractional_low_order_coeffs(params: ModelParams) -> list[float]:
-    """Closed forms of c0..c3 for arbitrary alpha, from the exact recursion.
-
-    With B, D as in ``classical_taylor_check``:
-
-        c1 = B / Gamma(alpha + 1)
-        c2 = B * D / Gamma(2*alpha + 1)
-        c3 = B * (D**2 + (p*mu*(mu-1)/2) * k0**(mu-2) * B * R) / Gamma(3*alpha + 1)
-
-    where R = Gamma(2*alpha + 1) / Gamma(alpha + 1)**2 is the factor the
-    curvature (c1**2) contribution picks up from the monomial transforms.
-    R = 2 at alpha = 1, reducing c3 to the classical Taylor coefficient.
-    """
-    p, q, mu, alpha, k0 = params.p, params.q, params.mu, params.alpha, params.k0
-    b = 0.0 if params.at_equilibrium() else params.rhs(k0)
-    d = params.rhs_derivative(k0)
-    g1 = math.exp(ln_gamma(alpha + 1.0))
-    g2 = math.exp(ln_gamma(2.0 * alpha + 1.0))
-    g3 = math.exp(ln_gamma(3.0 * alpha + 1.0))
-    r = g2 / (g1 * g1)
-    c1 = b / g1
-    c2 = b * d / g2
-    c3 = b * (d * d + 0.5 * p * mu * (mu - 1.0) * k0 ** (mu - 2.0) * b * r) / g3
-    return [k0, c1, c2, c3]

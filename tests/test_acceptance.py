@@ -11,16 +11,12 @@ import time
 from dataclasses import replace
 
 from adomian_fd_oracle import adomian_bruteforce_oracle
+from series_closed_forms import classical_taylor_check, fractional_low_order_coeffs
 from solowfrac.adomian import adomian_power_coeffs
 from solowfrac.equilibrium import find_equilibria
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
-from solowfrac.series import (
-    build_series,
-    classical_taylor_check,
-    eval_series,
-    fractional_low_order_coeffs,
-)
+from solowfrac.series import build_series, eval_series
 from solowfrac.sweep import PRESETS, SweepGrid, evaluate, grid_to_csv, run_sweep
 from solowfrac.transforms import run_all_verifications
 

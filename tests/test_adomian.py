@@ -92,6 +92,19 @@ class TestMillerRecurrence:
             oracle = adomian_bruteforce_oracle(mu, c, n)
             assert a[n] == pytest.approx(oracle, rel=1e-6, abs=1e-9)
 
+    @given(
+        mu=st.floats(min_value=0.01, max_value=0.99),
+        c0=st.floats(min_value=0.05, max_value=10.0),
+        rest=st.lists(st.floats(min_value=-5.0, max_value=5.0), max_size=24),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_of_c_fixes_prefix_of_a(self, mu, c0, rest):
+        # series.build_series grows c and a one term at a time on this invariant
+        c = [c0] + rest
+        full = adomian_power_coeffs(mu, c)
+        for m in range(1, len(c) + 1):
+            assert adomian_power_coeffs(mu, c[:m]) == full[:m]
+
 
 class TestBruteForceOracle:
     def test_identity_nonlinearity(self):

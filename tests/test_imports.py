@@ -68,7 +68,7 @@ def test_every_export_resolves_as_attribute():
     out = run_fresh("import json, solowfrac\n"
                     "print(json.dumps([type(getattr(solowfrac, n)).__name__"
                     " for n in solowfrac.__all__]))\n")
-    assert len(json.loads(out)) == len(solowfrac.__all__) == 27
+    assert len(json.loads(out)) == len(solowfrac.__all__) == 26
     assert not hasattr(solowfrac, "no_such_name")
 
 

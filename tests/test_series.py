@@ -6,16 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from series_closed_forms import classical_taylor_check, fractional_low_order_coeffs
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
-from solowfrac.series import (
-    SeriesSolution,
-    build_series,
-    classical_taylor_check,
-    eval_series,
-    fractional_low_order_coeffs,
-)
-from solowfrac.special import ln_gamma
+import solowfrac.adomian
+import solowfrac.series
+import solowfrac.special
+from solowfrac.series import MAX_ORDER, SeriesSolution, build_series, check_order, eval_series
+from solowfrac.special import gamma_ratio, ln_gamma
 
 
 def random_params(rng, alpha=1.0):
@@ -26,6 +24,123 @@ def random_params(rng, alpha=1.0):
         alpha=alpha,
         k0=rng.uniform(0.2, 5.0),
     )
+
+
+def _series_reference(params, order):
+    """The O(order^3) build: the whole Miller prefix is rebuilt at every
+    order and each gamma ratio takes two ln_gamma calls.  Kept verbatim, with
+    the recurrence inlined, as the bit-for-bit reference of build_series."""
+    check_order(order)
+    alpha = params.alpha
+    c = [params.k0]
+    rate0 = 0.0 if params.at_equilibrium() else params.rhs(params.k0)
+    for n in range(order):
+        if n == 0:
+            rate = rate0
+        else:
+            a = [c[0] ** params.mu]
+            for m in range(1, len(c)):
+                s = 0.0
+                for j in range(1, m + 1):
+                    s += (j * params.mu - (m - j)) * c[j] * a[m - j]
+                a.append(s / (m * c[0]))
+            rate = params.p * a[n] - params.q * c[n]
+        c.append(rate * gamma_ratio(n * alpha + 1.0, (n + 1) * alpha + 1.0))
+        if not math.isfinite(c[-1]):
+            raise ArithmeticError(f"series coefficient at order {n + 1} is {c[-1]}: "
+                                  "the series overflows double precision")
+    return tuple(c)
+
+
+def _outcome(build, params, order):
+    """Coefficients, or the type and message of the error the build raises."""
+    try:
+        return tuple(build(params, order))
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_reference(params):
+    """build_series == _series_reference at every order 1..MAX_ORDER.
+
+    The reference is built once at MAX_ORDER (and once below the order that
+    overflows), since each of its orders is the prefix of the next.
+    """
+    full = _outcome(_series_reference, params, MAX_ORDER)
+    failed_at = MAX_ORDER + 1
+    if isinstance(full[0], type):
+        message = full[1]
+        if message.startswith("series coefficient at order "):
+            failed_at = int(message.split()[4])
+        else:
+            failed_at = 1  # the build fails before any order
+        if failed_at > 1:
+            full = _series_reference(params, failed_at - 1)
+    for order in range(1, MAX_ORDER + 1):
+        got = _outcome(lambda p, n: build_series(p, n).coeffs, params, order)
+        want = full[:order + 1] if order < failed_at else _outcome(_series_reference,
+                                                                   params, order)
+        assert got == want, (params, order)
+
+
+def _admissible_draw(rng):
+    """One point of the admissible box, alpha = 1 and tiny alpha included."""
+    alpha = rng.choice([1.0, rng.uniform(0.01, 1.0), 10 ** rng.uniform(-3.0, 0.0)])
+    return ModelParams(p=10 ** rng.uniform(-2.0, 2.0), q=10 ** rng.uniform(-2.0, 1.0),
+                       mu=rng.uniform(0.01, 0.99), alpha=alpha,
+                       k0=10 ** rng.uniform(-2.0, 2.0))
+
+
+class TestSeriesReference:
+    def test_bit_identical_on_admissible_draws(self):
+        rng = random.Random(1515)
+        for _ in range(60):
+            _assert_matches_reference(_admissible_draw(rng))
+
+    def test_bit_identical_where_the_series_overflows(self):
+        rng = random.Random(1516)
+        failures = 0
+        for _ in range(20):
+            params = _admissible_draw(rng).with_(p=10 ** rng.uniform(5.0, 60.0), q=1.0)
+            _assert_matches_reference(params)
+            try:
+                build_series(params, MAX_ORDER)
+            except ArithmeticError:
+                failures += 1
+        assert failures >= 10
+
+    def test_overflow_message_names_the_order(self):
+        params = REFERENCE_PARAMS.with_(p=1e50, alpha=0.8)
+        with pytest.raises(ArithmeticError) as exc:
+            build_series(params, 8)
+        assert str(exc.value) == ("series coefficient at order 7 is -inf: "
+                                  "the series overflows double precision")
+        assert _outcome(_series_reference, params, 8) == (ArithmeticError, str(exc.value))
+        assert build_series(params, 6).coeffs == _series_reference(params, 6)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.7, 0.05, 1e-3])
+    def test_equilibrium_start_matches_reference(self, alpha):
+        params = REFERENCE_PARAMS.with_(alpha=alpha)
+        params = params.with_(k0=params.k_star)
+        _assert_matches_reference(params)
+        assert build_series(params, MAX_ORDER).coeffs[1:] == (0.0,) * MAX_ORDER
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 32, MAX_ORDER])
+    def test_one_ln_gamma_and_one_miller_step_per_order(self, monkeypatch, order):
+        calls = {"ln_gamma": 0, "miller_step": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module, name in [(solowfrac.series, "ln_gamma"), (solowfrac.special, "ln_gamma"),
+                             (solowfrac.series, "miller_step"),
+                             (solowfrac.adomian, "miller_step")]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        build_series(REFERENCE_PARAMS.with_(alpha=0.6), order)
+        assert calls == {"ln_gamma": order + 1, "miller_step": order - 1}
 
 
 class TestBuildSeries:

@@ -5,7 +5,7 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from solowfrac.special import (
     MLParams,
@@ -204,10 +204,17 @@ class TestMittagLeffler:
         alpha=st.floats(min_value=1e-4, max_value=1.0),
         z=st.floats(min_value=-1000.0, max_value=0.0),
     )
+    @example(alpha=1.0, z=-746.0)
     @settings(max_examples=60, deadline=None)
     def test_bounded_and_positive_on_negative_axis(self, alpha, z):
-        # completely monotone on the negative axis for alpha <= 1
-        assert 0.0 < mittag_leffler(MLParams(alpha, z)) <= 1.0
+        # completely monotone on the negative axis for alpha <= 1.  At alpha = 1
+        # the value is exp(z), which underflows to the correctly rounded 0.0
+        # below z ~ -745.1; for alpha < 1 it stays positive down to z = -1000.
+        value = mittag_leffler(MLParams(alpha, z))
+        if alpha == 1.0:
+            assert value == math.exp(z)
+        else:
+            assert 0.0 < value <= 1.0
 
     @given(
         alpha=st.floats(min_value=0.3, max_value=1.0),
