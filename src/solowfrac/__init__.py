@@ -13,11 +13,11 @@ __version__ = "0.1.0"
 # Submodule -> the names it exports, in `__all__` order.
 _MODULE_EXPORTS = {
     "model": ("ModelParams", "REFERENCE_PARAMS"),
-    "special": ("MLParams", "ln_gamma", "gamma_ratio", "mittag_leffler"),
+    "special": ("MLParams", "ln_gamma", "mittag_leffler"),
     "adomian": ("adomian_power_coeffs",),
     "series": ("SeriesSolution", "build_series", "eval_series"),
     "oracles": ("Trajectory", "solve_exact_classical", "solve_abm_fractional"),
-    "equilibrium": ("EquilibriumReport", "find_equilibria", "balanced_growth_capital"),
+    "equilibrium": ("EquilibriumReport", "find_equilibria"),
     "transforms": ("sumudu_numeric", "sumudu_monomial", "verify_ml_identities",
                    "verify_derivative_rule", "verify_convolution"),
     "sweep": ("SweepConfig", "SweepGrid", "PRESETS", "run_solve", "run_sweep"),

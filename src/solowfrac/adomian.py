@@ -15,8 +15,6 @@ polynomials in general.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 __all__ = ["adomian_power_coeffs", "miller_step"]
 
 

@@ -12,7 +12,6 @@ import math
 import sys
 from pathlib import Path
 
-from .equilibrium import find_equilibria
 from .model import REFERENCE_PARAMS, ModelParams
 from .series import DEFAULT_ORDER
 from .sweep import (
@@ -215,6 +214,8 @@ def _render_equilibria_table(report, params) -> str:
 
 
 def _cmd_equilibria(args, config) -> int:
+    from .equilibrium import find_equilibria
+
     params = _params_from(args, config)
     report = find_equilibria(params)
     if args.json:

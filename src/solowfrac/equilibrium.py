@@ -1,24 +1,16 @@
-"""Fixed points of the model, stability classification, balanced growth."""
+"""Fixed points of the model and their stability classification."""
 
 from __future__ import annotations
 
-import math
-import warnings
-from dataclasses import dataclass, asdict
+from .model import ModelParams, Record
 
-from .model import ModelParams
-from .oracles import exact_classical_value
-
-__all__ = ["EquilibriumReport", "find_equilibria", "balanced_growth_capital"]
+__all__ = ["EquilibriumReport", "find_equilibria"]
 
 UNSTABLE = "unstable"
 STABLE = "asymptotically stable"
 
-NEAR_EQUILIBRIUM_REL = 0.01
 
-
-@dataclass(frozen=True)
-class EquilibriumReport:
+class EquilibriumReport(Record):
     """Fixed points with linearization-based stability classification.
 
     `inflection_candidate` is the capital level maximizing the growth rate,
@@ -27,14 +19,8 @@ class EquilibriumReport:
     from k_star whenever mu < 1.
     """
 
-    k_zero_stability: str
-    k_star: float
-    k_star_stability: str
-    derivative_at_star: float
-    inflection_candidate: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+    __slots__ = ("k_zero_stability", "k_star", "k_star_stability", "derivative_at_star",
+                 "inflection_candidate")
 
 
 def find_equilibria(params: ModelParams) -> EquilibriumReport:
@@ -55,22 +41,3 @@ def find_equilibria(params: ModelParams) -> EquilibriumReport:
         inflection_candidate=(params.p * params.mu / params.q) ** (1.0 / (1.0 - params.mu)),
     )
 
-
-def balanced_growth_capital(params: ModelParams, L0: float, psi: float, t: float) -> float:
-    """Asymptotic total capital K(t) = k_star * L0 * exp(psi * t).
-
-    Valid once the capital-labour ratio has settled near k_star; the
-    precondition is checked with the exact classical trajectory and a
-    warning is emitted when k(t) is still more than 1% away.
-    """
-    if not L0 > 0:
-        raise ValueError(f"L0 must be positive, got {L0}")
-    k_star = params.k_star
-    k_t = exact_classical_value(params, t)
-    if abs(k_t - k_star) / k_star > NEAR_EQUILIBRIUM_REL:
-        warnings.warn(
-            f"balanced-growth formula applied at t={t} where k(t)={k_t:.6g} is "
-            f"{abs(k_t - k_star) / k_star:.1%} away from k_star={k_star:.6g}",
-            stacklevel=2,
-        )
-    return k_star * L0 * math.exp(psi * t)

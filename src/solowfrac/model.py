@@ -11,23 +11,82 @@ recovers the classical ODE).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
-__all__ = ["ModelParams", "REFERENCE_PARAMS"]
+__all__ = ["Record", "ModelParams", "REFERENCE_PARAMS"]
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class Record:
+    """Immutable value record, the package's light stand-in for a frozen dataclass.
+
+    A subclass names its fields in ``__slots__`` and the defaults of trailing
+    fields in ``_defaults``, and checks them in ``_validate``, which runs on
+    every construction, ``with_`` included.  Records compare, hash and print
+    by value; records of different types are never equal.  ``__slots__`` holds
+    every field, so a record class is not subclassed further.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self).__name__, self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls} takes {len(names)} fields, got {len(args)}")
+        values = {**self._defaults, **dict(zip(names, args))}
+        for name, value in kwargs.items():
+            if name not in names or name in names[:len(args)]:
+                raise TypeError(f"{cls} got an unexpected or repeated field {name!r}")
+            values[name] = value
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{cls} is missing field {name!r}")
+            object.__setattr__(self, name, values[name])
+        self._validate()
+
+    def _validate(self) -> None:
+        """Raise ValueError when a field is out of range; no rule by default."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def as_dict(self) -> dict:
+        """Field name -> value."""
+        return dict(zip(self.__slots__, self._values()))
+
+    def with_(self, **changes):
+        """A copy with `changes` applied, validated again."""
+        return type(self)(**{**Record.as_dict(self), **changes})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in Record.as_dict(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: {type(self).__name__} is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not __setattr__
+        return type(self), self._values()
+
+
+class ModelParams(Record):
     """One model instance: productivity p, depreciation q, elasticity mu,
     fractional order alpha, initial capital-labour ratio k0."""
 
-    p: float
-    q: float
-    mu: float
-    alpha: float = 1.0
-    k0: float = 1.0
+    __slots__ = ("p", "q", "mu", "alpha", "k0")
+    _defaults = {"alpha": 1.0, "k0": 1.0}
 
-    def __post_init__(self):
+    def _validate(self):
         check_positive("p", self.p)
         check_positive("q", self.q)
         if not 0 < self.mu < 1:
@@ -55,9 +114,6 @@ class ModelParams:
     def rhs_derivative(self, k: float) -> float:
         """d/dk of the right-hand side."""
         return self.p * self.mu * k ** (self.mu - 1.0) - self.q
-
-    def with_(self, **kwargs) -> "ModelParams":
-        return replace(self, **kwargs)
 
     def at_equilibrium(self) -> bool:
         """True when k0 sits exactly (in floating point) on a fixed point."""

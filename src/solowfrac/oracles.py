@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
 
-from .model import ModelParams, check_positive, validate_times
+from .model import ModelParams, Record, check_positive, validate_times
 from .special import ln_gamma
 
 __all__ = ["Trajectory", "solve_exact_classical", "solve_abm_fractional"]
@@ -27,15 +25,12 @@ __all__ = ["Trajectory", "solve_exact_classical", "solve_abm_fractional"]
 MIN_ABM_STEPS = 16
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Sampled (t, k) pairs from one backend."""
 
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-    method: str
+    __slots__ = ("times", "values", "method")
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.times) != len(self.values):
             raise ValueError("times and values must have equal length")
 

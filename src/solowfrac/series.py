@@ -26,10 +26,9 @@ size of the last retained term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .adomian import miller_step
-from .model import ModelParams
+from .model import ModelParams, Record
 from .special import ln_gamma
 
 __all__ = [
@@ -51,15 +50,13 @@ MAX_ORDER = 64
 TRUST_TOL = 0.02
 
 
-@dataclass(frozen=True)
-class SeriesSolution:
+class SeriesSolution(Record):
     """Immutable truncated series: coeffs[n] multiplies t**(n*alpha)."""
 
-    params: ModelParams
-    order: int
-    coeffs: tuple[float, ...] = field(default_factory=tuple)
+    __slots__ = ("params", "order", "coeffs")
+    _defaults = {"coeffs": ()}
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coefficient count must equal order + 1")
 

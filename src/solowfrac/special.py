@@ -1,11 +1,11 @@
 """Gamma-family and Mittag-Leffler evaluation.
 
 Every series coefficient and every transform oracle in this package funnels
-through ``ln_gamma`` / ``gamma_ratio``; ``mittag_leffler`` backs the transform
-identity checks.  Two routes serve E_alpha(z) besides exp at alpha = 1: a
-compensated Taylor sum near z = 0 and for z > 0, and a trapezoid rule on a
-Hankel-type contour for z < 0 with alpha < 1.  Only ``math`` and ``cmath``
-are imported.  All functions are pure and thread-safe.
+through ``ln_gamma``; ``mittag_leffler`` backs the transform identity checks.
+Two routes serve E_alpha(z) besides exp at alpha = 1: a compensated Taylor
+sum near z = 0 and for z > 0, and a trapezoid rule on a Hankel-type contour
+for z < 0 with alpha < 1.  Only ``math`` and ``cmath`` do the arithmetic.
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+
+from .model import Record
 
 __all__ = [
     "MLParams",
     "ln_gamma",
-    "gamma_ratio",
     "mittag_leffler",
     "ML_Z_MAX_POS",
 ]
@@ -50,14 +50,12 @@ _ML_DOUBLE_PEAK_LIMIT = math.log(1e3)  # accumulated eps * peak stays below ~1e-
 _ML_TAYLOR_ABS_Z = 0.5
 
 
-@dataclass(frozen=True)
-class MLParams:
+class MLParams(Record):
     """Order and argument for a Mittag-Leffler evaluation."""
 
-    alpha: float
-    z: float
+    __slots__ = ("alpha", "z")
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.alpha > 0:
             raise ValueError(f"Mittag-Leffler order must be positive, got {self.alpha}")
         if not math.isfinite(self.z):
@@ -73,13 +71,6 @@ def ln_gamma(x: float) -> float:
         acc += c / (x - 1.0 + i)
     t = x + _LANCZOS_G - 0.5
     return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
-
-
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b) via the log domain, immune to overflow of either factor."""
-    if not (a > 0 and b > 0):
-        raise ValueError(f"gamma_ratio requires positive arguments, got a={a}, b={b}")
-    return math.exp(ln_gamma(a) - ln_gamma(b))
 
 
 def _ml_peak_log_term(alpha: float, absz: float) -> float:

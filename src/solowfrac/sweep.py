@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
-from .model import ModelParams, check_positive
-from .oracles import solve_abm_fractional, solve_exact_classical
+from .model import ModelParams, Record, check_positive
 from .series import DEFAULT_ORDER, build_series, check_order, eval_series
 
 __all__ = [
@@ -29,7 +27,6 @@ __all__ = [
     "run_sweep",
     "time_grid",
     "grid_to_csv",
-    "parse_csv",
     "sidecar_metadata",
     "gnuplot_script",
 ]
@@ -53,16 +50,14 @@ def methods_for(method: str, alpha: float, axis: str | None = None) -> list[str]
     return ["series", "exact" if alpha == 1.0 and axis != "alpha" else "abm"]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    base: ModelParams
-    axis: str
-    axis_range: tuple[float, float, int]
-    t_range: tuple[float, int]  # (t_max, count); grids always start at t = 0
-    order: int = DEFAULT_ORDER
-    method: str = "series"
+class SweepConfig(Record):
+    """One sweep: `base` with `axis` over `axis_range` (lo, hi, count), on the
+    time grid `t_range` (t_max, count), which always starts at t = 0."""
 
-    def __post_init__(self):
+    __slots__ = ("base", "axis", "axis_range", "t_range", "order", "method")
+    _defaults = {"order": DEFAULT_ORDER, "method": "series"}
+
+    def _validate(self):
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if self.method not in METHODS:
@@ -93,24 +88,16 @@ class SweepConfig:
         return methods_for(self.method, self.base.alpha, self.axis)
 
     def as_dict(self) -> dict:
-        return {
-            "base": {
-                "p": self.base.p, "q": self.base.q, "mu": self.base.mu,
-                "alpha": self.base.alpha, "k0": self.base.k0,
-            },
-            "axis": self.axis,
-            "axis_range": list(self.axis_range),
-            "t_range": list(self.t_range),
-            "order": self.order,
-            "method": self.method,
-        }
+        """The fields as JSON-ready values, `base` as a dict of its own."""
+        return {**super().as_dict(), "base": self.base.as_dict(),
+                "axis_range": list(self.axis_range), "t_range": list(self.t_range)}
 
 
-@dataclass(frozen=True)
-class SweepGrid:
-    config: SweepConfig
-    rows: tuple[Row, ...]
-    failures: tuple[tuple[float, str, str], ...] = ()  # (axis value, method, reason)
+class SweepGrid(Record):
+    """Rows of one sweep; `failures` holds (axis value, method, reason) per failed cell."""
+
+    __slots__ = ("config", "rows", "failures")
+    _defaults = {"failures": ()}
 
 
 def _reference_base(alpha: float = 1.0) -> ModelParams:
@@ -160,6 +147,8 @@ def evaluate(params: ModelParams, times: list[float], method: str,
             sol = build_series(params, order)
             pairs = [eval_series(sol, t) for t in times]
             return [k for k, _ in pairs], [trusted for _, trusted in pairs], None
+        from .oracles import solve_abm_fractional, solve_exact_classical  # series cells skip it
+
         if method == "exact":
             values = list(solve_exact_classical(params, times).values)
         else:
@@ -242,19 +231,6 @@ def rows_to_csv(rows: list[Row], header: str = "t,k,trusted,method") -> str:
     for t, _axis, k, trusted, method in rows:
         lines.append(f"{_fmt(t)},{_fmt(k)},{'true' if trusted else 'false'},{method}")
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> tuple[str, list[Row]]:
-    """Parse an emitted grid CSV back into rows (round-trip safe)."""
-    lines = text.strip("\n").split("\n")
-    header = lines[0]
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows: list[Row] = []
-    for line in lines[1:]:
-        t, axis, k, trusted, method = line.split(",")
-        rows.append((float(t), float(axis), float(k), trusted == "true", method))
-    return header, rows
 
 
 def sidecar_metadata(grid: SweepGrid) -> str:

@@ -19,11 +19,9 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Callable, Sequence
 
-from .model import ModelParams
+from .model import ModelParams, Record
 from .oracles import exact_classical_value
 from .special import MLParams, ln_gamma, mittag_leffler
 
@@ -90,13 +88,17 @@ def sumudu_monomial(gamma: float, u: float) -> float:
     return math.exp(ln_gamma(gamma + 1.0)) * u ** gamma
 
 
-@dataclass
-class VerificationReport:
-    """Per-point deviations of one identity check."""
+class VerificationReport(Record):
+    """Per-point deviations of one identity check, filled in by `add`.
 
-    name: str
-    tol: float
-    rows: list[tuple[str, float]] = field(default_factory=list)
+    The one record whose content grows: `rows` is a list, so a report is not
+    hashable, and each report starts with a list of its own.
+    """
+
+    __slots__ = ("name", "tol", "rows")
+
+    def __init__(self, name: str, tol: float, rows: list[tuple[str, float]] | None = None):
+        super().__init__(name, tol, [] if rows is None else rows)
 
     def add(self, label: str, deviation: float) -> None:
         self.rows.append((label, abs(deviation)))

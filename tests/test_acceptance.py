@@ -8,7 +8,6 @@ then asserts, so a failure still leaves the diagnostic line in the output.
 import math
 import random
 import time
-from dataclasses import replace
 
 from adomian_fd_oracle import adomian_bruteforce_oracle
 from series_closed_forms import classical_taylor_check, fractional_low_order_coeffs
@@ -239,7 +238,7 @@ def test_criterion_8_figure_shape_properties():
 def test_criterion_9_determinism():
     # Cells must not depend on each other: evaluated one by one in reversed
     # and in shuffled order, they reassemble to the bytes of run_sweep.
-    cfg = replace(PRESETS["fig-ktq-frac"], method="both")
+    cfg = PRESETS["fig-ktq-frac"].with_(method="both")
     first = grid_to_csv(run_sweep(cfg))
     second = grid_to_csv(run_sweep(cfg))
     times = cfg.times()

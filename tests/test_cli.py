@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from reference_helpers import parse_csv
 from solowfrac.cli import main
 from solowfrac.model import REFERENCE_PARAMS
-from solowfrac.sweep import CSV_HEADER, parse_csv
+from solowfrac.sweep import CSV_HEADER
 
 
 def run_cli(capsys, *argv):

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from solowfrac.equilibrium import STABLE, UNSTABLE, balanced_growth_capital, find_equilibria
+from reference_helpers import balanced_growth_capital
+from solowfrac.equilibrium import STABLE, UNSTABLE, find_equilibria
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
 

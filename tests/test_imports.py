@@ -1,7 +1,9 @@
-"""Import cost: no command loads numpy or mpmath; only the tests use them.
+"""Import cost: no command loads numpy or mpmath, which only the tests use,
+nor `dataclasses` and `inspect`; each command loads only the package modules
+it runs.
 
 Each check runs in a fresh interpreter, because this test process has
-imported both libraries already.
+imported all of these already.
 """
 
 import json
@@ -9,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import solowfrac
 
@@ -27,7 +31,7 @@ PROGRAM = """
 import contextlib, io, json, sys
 
 def heavy():
-    return sorted(m for m in ("numpy", "mpmath") if m in sys.modules)
+    return sorted(m for m in ("numpy", "mpmath", "dataclasses", "inspect") if m in sys.modules)
 
 import solowfrac.cli
 report = {"import": heavy(), "commands": []}
@@ -53,7 +57,8 @@ def run_fresh(program, *args):
 
 
 def test_no_command_loads_numpy_or_mpmath():
-    # verify's quadrature is pure Python too
+    # verify's quadrature is pure Python too.  dataclasses and inspect,
+    # ~10 ms of start-up, stay off every command's path as well.
     report = json.loads(run_fresh(PROGRAM, json.dumps(GUARDED)))
     assert report["import"] == []
     for argv, code, heavy in report["commands"]:
@@ -68,7 +73,7 @@ def test_every_export_resolves_as_attribute():
     out = run_fresh("import json, solowfrac\n"
                     "print(json.dumps([type(getattr(solowfrac, n)).__name__"
                     " for n in solowfrac.__all__]))\n")
-    assert len(json.loads(out)) == len(solowfrac.__all__) == 26
+    assert len(json.loads(out)) == len(solowfrac.__all__) == 24
     assert not hasattr(solowfrac, "no_such_name")
 
 
@@ -78,3 +83,26 @@ def test_every_export_resolves_through_star_import():
                     "exec('from solowfrac import *', names)\n"
                     "print(json.dumps(sorted(set(solowfrac.__all__) - set(names))))\n")
     assert json.loads(out) == []
+
+
+# One command per fresh process: the package modules each command loads.
+ONE_COMMAND = """
+import contextlib, io, json, sys
+import solowfrac.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = solowfrac.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("solowfrac."))]))
+"""
+
+SERIES_ONLY = [["solve", "--method", "series"], ["sweep", "--preset", "fig-ktq"]]
+COMMANDS = SERIES_ONLY + [argv for argv in GUARDED if argv not in SERIES_ONLY] + [["verify"]]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_command_loads_only_the_modules_it_runs(argv):
+    code, loaded = json.loads(run_fresh(ONE_COMMAND, json.dumps(argv)))
+    assert code == 0
+    if argv in SERIES_ONLY:
+        assert "solowfrac.oracles" not in loaded
+    assert ("solowfrac.equilibrium" in loaded) == (argv[0] == "equilibria")
+    assert ("solowfrac.transforms" in loaded) == (argv[0] == "verify")

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_helpers import gamma_ratio
 from series_closed_forms import classical_taylor_check, fractional_low_order_coeffs
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
@@ -13,7 +14,7 @@ import solowfrac.adomian
 import solowfrac.series
 import solowfrac.special
 from solowfrac.series import MAX_ORDER, SeriesSolution, build_series, check_order, eval_series
-from solowfrac.special import gamma_ratio, ln_gamma
+from solowfrac.special import ln_gamma
 
 
 def random_params(rng, alpha=1.0):

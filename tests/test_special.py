@@ -7,10 +7,10 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference_helpers import gamma_ratio
 from solowfrac.special import (
     MLParams,
     ML_Z_MAX_POS,
-    gamma_ratio,
     ln_gamma,
     mittag_leffler,
 )

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from reference_helpers import parse_csv
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value
 from solowfrac.sweep import (
@@ -14,7 +15,6 @@ from solowfrac.sweep import (
     evaluate,
     grid_to_csv,
     gnuplot_script,
-    parse_csv,
     rows_to_csv,
     run_solve,
     run_sweep,
