@@ -7,7 +7,6 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -214,6 +213,8 @@ def _render_equilibria_table(report, params) -> str:
 
 
 def _cmd_equilibria(args, config) -> int:
+    import json
+
     from .equilibrium import find_equilibria
 
     params = _params_from(args, config)

@@ -10,7 +10,6 @@ order they are evaluated in and is byte-identical across runs.
 
 from __future__ import annotations
 
-import json
 import math
 
 from .model import ModelParams, Record, check_positive
@@ -239,6 +238,8 @@ def sidecar_metadata(grid: SweepGrid) -> str:
     `failures` lists the cells whose solver failed, with the reason; it is
     present only when some cell failed.
     """
+    import json  # only sweeps with --out write a sidecar
+
     meta = {
         "format": "solowfrac sweep grid v1",
         "csv_header": CSV_HEADER,

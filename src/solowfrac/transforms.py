@@ -22,7 +22,7 @@ import warnings
 from operator import mul
 
 from .model import ModelParams, Record
-from .oracles import exact_classical_value
+from .oracles import _leggauss, exact_classical_value
 from .special import MLParams, ln_gamma, mittag_leffler
 
 __all__ = [
@@ -190,36 +190,6 @@ def verify_derivative_rule(
         rhs = u ** (-alpha) * (sumudu_numeric(lambda t: t ** beta, u) - 0.0)
         report.add(f"caputo beta={beta:g} alpha={alpha:g} u={u:g}", lhs - rhs)
     return report
-
-
-def _legendre(n: int, x: float) -> tuple[float, float]:
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p_prev, p = 1.0, x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    return p, n * (x * p - p_prev) / (x * x - 1.0)
-
-
-@functools.lru_cache(maxsize=8)
-def _leggauss(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method on P_n from the Tricomi-type guess cos(pi(i+3/4)/(n+1/2))
-    for each positive root; the negative roots are their mirror images.
-    """
-    positive = []  # descending
-    for i in range(nodes // 2):
-        x = math.cos(math.pi * (i + 0.75) / (nodes + 0.5))
-        for _ in range(100):
-            p, dp = _legendre(nodes, x)
-            step = p / dp
-            x -= step
-            if abs(step) <= 1e-16:
-                break
-        positive.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    center = [(0.0, 2.0 / _legendre(nodes, 0.0)[1] ** 2)] if nodes % 2 else []
-    pairs = [(-x, w) for x, w in positive] + center + positive[::-1]
-    return tuple(x for x, _ in pairs), tuple(w for _, w in pairs)
 
 
 def _convolve(psi: Callable[[float], float], zeta: Callable[[float], float], t: float,

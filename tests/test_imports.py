@@ -1,6 +1,6 @@
 """Import cost: no command loads numpy or mpmath, which only the tests use,
-nor `dataclasses` and `inspect`; each command loads only the package modules
-it runs.
+nor `dataclasses` and `inspect`; `json` loads only for the commands that
+write JSON; each command loads only the package modules it runs.
 
 Each check runs in a fresh interpreter, because this test process has
 imported all of these already.
@@ -106,3 +106,24 @@ def test_command_loads_only_the_modules_it_runs(argv):
         assert "solowfrac.oracles" not in loaded
     assert ("solowfrac.equilibrium" in loaded) == (argv[0] == "equilibria")
     assert ("solowfrac.transforms" in loaded) == (argv[0] == "verify")
+
+
+# argv comes in as plain arguments: this program must not load json itself.
+NO_JSON = """
+import contextlib, io, sys
+import solowfrac.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = solowfrac.cli.main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "abm", "--alpha", "0.8", "--samples", "2049", "--t-max", "2"],
+    ["solve", "--method", "both", "--alpha", "0.9"],
+    ["compare", "--alpha", "0.8"],
+    ["verify"],
+], ids=" ".join)
+def test_command_without_json_output_does_not_load_json(argv):
+    # json costs ~2 ms of start-up; only sweep sidecars and equilibria use it
+    assert run_fresh(NO_JSON, *argv).split() == ["0", "False"]

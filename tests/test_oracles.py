@@ -3,11 +3,16 @@
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import (
+    EXACT_STEPS,
+    WINDOW,
     Trajectory,
+    _history_modes,
+    _jacgauss,
     exact_classical_value,
     solve_abm_fractional,
     solve_exact_classical,
@@ -18,8 +23,10 @@ from solowfrac.special import ln_gamma
 def _abm_reference(params, t_end, steps):
     """ABM values from the memory sums written as plain double loops.
 
-    The solver precomputes its weights and sums with the builtin `sum`; it
-    must reproduce these values bit for bit and fail where and how this does.
+    Every weight is the exact formula, and every memory term is added one at
+    a time, oldest first.  The solver must reproduce these values bit for bit
+    on runs of at most EXACT_STEPS steps, stay within 1e-10 relative on longer
+    runs, and fail where and how this does.
     """
     alpha = params.alpha
     h = t_end / steps
@@ -31,11 +38,13 @@ def _abm_reference(params, t_end, steps):
     f = [params.rhs(params.k0)]
     pow_a = [j ** alpha for j in range(steps + 2)]
     pow_a1 = [j ** (alpha + 1.0) for j in range(steps + 2)]
+    b = [pow_a[m + 1] - pow_a[m] for m in range(steps + 1)]
+    c = [0.0] + [pow_a1[m + 1] + pow_a1[m - 1] - 2.0 * pow_a1[m] for m in range(1, steps + 1)]
 
     for n in range(steps):
         acc = 0.0
         for j in range(n + 1):
-            acc += (pow_a[n + 1 - j] - pow_a[n - j]) * f[j]
+            acc += b[n - j] * f[j]
         k_pred = params.k0 + inv_gamma_a * (h_alpha / alpha) * acc
         if k_pred <= 0:
             raise ArithmeticError(
@@ -44,9 +53,7 @@ def _abm_reference(params, t_end, steps):
             )
         acc = (pow_a1[n] - (n - alpha) * pow_a[n + 1]) * f[0]
         for j in range(1, n + 1):
-            acc += (
-                pow_a1[n - j + 2] + pow_a1[n - j] - 2.0 * pow_a1[n - j + 1]
-            ) * f[j]
+            acc += c[n + 1 - j] * f[j]
         k_next = params.k0 + inv_gamma_a2 * h_alpha * (params.rhs(k_pred) + acc)
         if k_next <= 0:
             raise ArithmeticError(
@@ -58,12 +65,16 @@ def _abm_reference(params, t_end, steps):
     return tuple(k)
 
 
+EDGE_ALPHAS = (0.05, 1.0, 1e-4, 1.0 - 1e-9)
+
+
 def _draws(seed, count):
     """(params, t_end) over the benchmark's parameter box, alpha over (0, 1]
-    starting with both ends of the range."""
+    starting with both ends of the range and then the extremes 1e-4 and
+    1 - 1e-9."""
     rng = random.Random(seed)
     for i in range(count):
-        alpha = (0.05, 1.0)[i] if i < 2 else 1.0 - rng.random()
+        alpha = EDGE_ALPHAS[i] if i < len(EDGE_ALPHAS) else 1.0 - rng.random()
         params = ModelParams(p=rng.uniform(0.3, 0.8), q=rng.uniform(0.1, 0.3),
                              mu=rng.uniform(0.2, 0.5), alpha=alpha, k0=rng.uniform(0.5, 2.0))
         yield params, rng.uniform(0.3, 2.0)
@@ -120,6 +131,15 @@ class TestABM:
             for v in traj.values:
                 assert v == pytest.approx(params.k0, rel=1e-12)
 
+    def test_equilibrium_start_constant_through_the_history(self):
+        # 2048 steps run most of their memory through the exponential modes
+        for alpha in (1e-4, 0.05, 0.5, 0.8, 1.0 - 1e-9, 1.0):
+            params = REFERENCE_PARAMS.with_(alpha=alpha)
+            params = params.with_(k0=params.k_star)
+            traj = solve_abm_fractional(params, t_end=1.0, steps=2048)
+            for v in traj.values:
+                assert v == pytest.approx(params.k0, rel=1e-12)
+
     def test_classical_limit_matches_exact(self):
         traj = solve_abm_fractional(REFERENCE_PARAMS, t_end=2.0, steps=1024)
         worst = 0.0
@@ -169,12 +189,6 @@ class TestABM:
             responses[alpha] = traj.values[-1] - params.k0
         assert responses[0.5] > responses[0.8] > responses[1.0] > 0
 
-    def test_refinement_warning(self):
-        # fast dynamics from far below equilibrium: 16 steps is plainly too few
-        params = ModelParams(p=3.0, q=1.5, mu=0.5, alpha=0.4, k0=0.1)
-        with pytest.warns(UserWarning):
-            solve_abm_fractional(params, t_end=50.0, steps=16, refine_check=True)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_abm_fractional(REFERENCE_PARAMS, t_end=1.0, steps=8)
@@ -183,11 +197,25 @@ class TestABM:
 
 
 class TestABMReference:
-    @pytest.mark.parametrize("steps, count", [(16, 12), (17, 12), (280, 6), (2048, 3)])
+    # Runs of at most EXACT_STEPS steps keep the whole history exact.
+    @pytest.mark.parametrize("steps, count", [
+        (16, 12), (17, 12), (WINDOW, 4), (WINDOW + 1, 4), (280, 6), (EXACT_STEPS, 2),
+    ])
     def test_bit_identical_to_double_loop(self, steps, count):
         for params, t_end in _draws(steps, count):
             traj = solve_abm_fractional(params, t_end=t_end, steps=steps)
             assert traj.values == _abm_reference(params, t_end, steps)
+
+    # Longer runs send terms older than WINDOW steps through the modes: the
+    # first WINDOW + 1 steps stay exact, and no value may move by more than
+    # 1e-10 relative (measured: <= 8.3e-12).
+    @pytest.mark.parametrize("steps, count", [(EXACT_STEPS + 1, 6), (2048, 4), (4096, 4)])
+    def test_history_within_1e10_of_double_loop(self, steps, count):
+        for params, t_end in _draws(steps, count):
+            got = solve_abm_fractional(params, t_end=t_end, steps=steps).values
+            want = _abm_reference(params, t_end, steps)
+            assert got[:WINDOW + 2] == want[:WINDOW + 2]
+            assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-10
 
     @pytest.mark.parametrize("params, t_end, stage", [
         (REFERENCE_PARAMS.with_(alpha=0.8, q=1e300), 2.0, "predictor"),
@@ -201,6 +229,19 @@ class TestABMReference:
         assert str(expected.value).startswith(f"ABM {stage} produced nonpositive capital")
         assert str(got.value) == str(expected.value)
 
+    def test_failure_in_a_long_run_matches_double_loop(self):
+        # Subnormal capital keeps every memory sum exact, so at alpha = 1 the
+        # history's one mode and the double loop add the same numbers: the
+        # predictor overshoots at step 406, with the modes in use since 129.
+        params = ModelParams(p=1e-300, q=1.0, mu=0.5, alpha=1.0, k0=1e-310)
+        with pytest.raises(ArithmeticError) as expected:
+            _abm_reference(params, 7.5, 600)
+        with pytest.raises(ArithmeticError) as got:
+            solve_abm_fractional(params, t_end=7.5, steps=600)
+        assert str(expected.value).startswith(
+            "ABM predictor produced nonpositive capital -7.621649536e-315 at t=5.0875;")
+        assert str(got.value) == str(expected.value)
+
     def test_non_finite_capital_fails(self):
         # The double loop lets the overflow through as NaN values.
         params = REFERENCE_PARAMS.with_(alpha=0.8, p=1e300)
@@ -212,6 +253,46 @@ class TestABMReference:
     def test_non_finite_t_end_rejected(self):
         with pytest.raises(ValueError, match="t_end must be finite, got inf"):
             solve_abm_fractional(REFERENCE_PARAMS, t_end=math.inf, steps=64)
+
+
+class TestHistoryKernel:
+    """The modes against 40-digit weights b_m and c_m, m in [WINDOW, steps]."""
+
+    @pytest.mark.parametrize("steps", [EXACT_STEPS + 1, 2048, 16384])
+    @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0 - 1e-9, 1.0])
+    def test_modes_reproduce_weights(self, steps, alpha):
+        decay, wb, wc = _history_modes(alpha, steps)
+        ages = sorted({WINDOW, WINDOW + 1, steps - 1, steps}
+                      | {round(WINDOW * (steps / WINDOW) ** (i / 24)) for i in range(25)})
+        worst = 0.0
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            for m in ages:
+                b = (m + 1) ** a - m ** a
+                c = (m + 1) ** (a + 1) + (m - 1) ** (a + 1) - 2 * m ** (a + 1)
+                got_b = math.fsum(w * d ** (m - WINDOW) for w, d in zip(wb, decay))
+                got_c = math.fsum(w * d ** (m - WINDOW - 1) for w, d in zip(wc, decay))
+                worst = max(worst, abs(got_b - b) / b, abs(got_c - c) / c)
+        assert worst <= 1e-12
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("beta", [-1e-4, -0.05, -0.5, -0.95, -(1.0 - 1e-9)])
+    def test_exact_for_degree_below_2n(self, beta):
+        # int_-1^1 (1+t)^beta t^k dt = 2^(beta+1) sum_j C(k,j) (-1)^(k-j) 2^j B(beta+j+1, 1),
+        # measured against int (1+t)^beta |t|^k dt, which no moment exceeds.
+        n = 12
+        x, w = _jacgauss(n, beta)
+        assert x == sorted(x) and -1.0 < x[0] and x[-1] < 1.0
+        with mp.workdps(40):
+            bt = mp.mpf(beta)
+            for k in range(2 * n):
+                exact = 2 ** (bt + 1) * mp.fsum(
+                    mp.binomial(k, j) * (-1) ** (k - j) * 2 ** j * mp.beta(bt + j + 1, 1)
+                    for j in range(k + 1))
+                scale = mp.beta(bt + 1, k + 1) + mp.quad(lambda t: (1 + t) ** bt * t ** k, [0, 1])
+                got = math.fsum(wi * xi ** k for xi, wi in zip(x, w))
+                assert abs(got - exact) / scale <= 1e-14, k
 
 
 class TestTrajectoryType:

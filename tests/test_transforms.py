@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from solowfrac.model import REFERENCE_PARAMS
+from solowfrac.oracles import _leggauss
 from solowfrac.transforms import (
     IDENTITY_TOL,
     QUAD_NODES,
     _de_nodes,
-    _leggauss,
     VerificationReport,
     run_all_verifications,
     sumudu_monomial,
