@@ -119,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run all transform identity checks")
     _add_param_flags(p_verify)
+    p_verify.add_argument("--json", action="store_true",
+                          help="print the parameters and every report's rows as JSON")
 
     p_cmp = sub.add_parser("compare", help="series vs oracle on the trusted region")
     _add_param_flags(p_cmp)
@@ -233,6 +235,14 @@ def _cmd_verify(args, config) -> int:
     from .transforms import run_all_verifications
 
     reports = run_all_verifications(params)
+    if args.json:
+        import json
+
+        passed = all(rep.passed for rep in reports)
+        sys.stdout.write(json.dumps({"params": params.as_dict(), "passed": passed,
+                                     "reports": [rep.as_dict() for rep in reports]},
+                                    indent=2, sort_keys=True) + "\n")
+        return 0 if passed else 1
     failed = []
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

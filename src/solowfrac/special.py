@@ -1,11 +1,22 @@
 """Gamma-family and Mittag-Leffler evaluation.
 
 Every series coefficient and every transform oracle in this package funnels
-through ``ln_gamma``; ``mittag_leffler`` backs the transform identity checks.
+through ``ln_gamma``; ``mittag_leffler``'s cached kernel ``_ml_eval`` backs
+the transform identity checks.
 Two routes serve E_alpha(z) besides exp at alpha = 1: a compensated Taylor
 sum near z = 0 and for z > 0, and a trapezoid rule on a Hankel-type contour
 for z < 0 with alpha < 1.  Only ``math`` and ``cmath`` do the arithmetic.
-All functions are pure and thread-safe.
+
+What depends on alpha alone is computed once per alpha and kept in a table
+for the 8 most recently used orders: the contour's 33 pairs
+(weight * s**alpha, s**alpha), and the Taylor sum's gamma ratios
+Gamma(alpha*(n-1) + 1) / Gamma(alpha*n + 1), grown to the longest sum yet
+needed, which the sum's 100,000-term cap bounds.  Each z then costs one
+complex division per contour node and no cmath.exp, or no ln_gamma call per
+Taylor term, with products and sums in the same order as without the
+tables, so the values are bit for bit the same.  All functions are pure and
+thread-safe: a contour table is an immutable tuple, and a Taylor table
+grows only under its own lock, so two threads never interleave their terms.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 
 from .model import Record
 
@@ -48,6 +60,8 @@ _ML_DOUBLE_PEAK_LIMIT = math.log(1e3)  # accumulated eps * peak stays below ~1e-
 # Below this |z| the Taylor sum is used for every alpha: the contour's error
 # is up to 3e-13 absolute everywhere, so near z = 0 it can return values above 1.
 _ML_TAYLOR_ABS_Z = 0.5
+_ML_TAYLOR_MAX_TERMS = 100000
+_ML_TABLE_ALPHAS = 8  # orders whose per-alpha tables are kept
 
 
 class MLParams(Record):
@@ -91,26 +105,57 @@ def _ml_peak_log_term(alpha: float, absz: float) -> float:
     return n_star * math.log(absz) - ln_gamma(alpha * n_star + 1.0)
 
 
+class _TaylorRatios:
+    """ratios[n-1] = Gamma(alpha*(n-1) + 1) / Gamma(alpha*n + 1) for n = 1, 2, ...
+
+    Each ratio costs one ln_gamma call, the first time any sum at this alpha
+    needs it.  Only `grow` appends, and it holds the lock, so the list never
+    holds two threads' terms out of order; readers index below its length.
+    """
+
+    __slots__ = ("alpha", "ratios", "_ln_gamma_last", "_lock")
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+        self.ratios: list[float] = []
+        self._ln_gamma_last = ln_gamma(1.0)
+        self._lock = threading.Lock()
+
+    def grow(self, n: int) -> None:
+        """Extend `ratios` to at least n entries."""
+        with self._lock:
+            while len(self.ratios) < n:
+                ln_gamma_n = ln_gamma(self.alpha * (len(self.ratios) + 1) + 1.0)
+                self.ratios.append(math.exp(self._ln_gamma_last - ln_gamma_n))
+                self._ln_gamma_last = ln_gamma_n
+
+
+@functools.lru_cache(maxsize=_ML_TABLE_ALPHAS)
+def _ml_taylor_table(alpha: float) -> _TaylorRatios:
+    return _TaylorRatios(alpha)
+
+
 def _ml_taylor_double(alpha: float, z: float) -> float:
     """Compensated (Kahan) Taylor summation in double precision."""
+    table = _ml_taylor_table(alpha)
+    ratios = table.ratios
     total = 1.0
     comp = 0.0
     term = 1.0
     n = 0
-    ln_gamma_prev = ln_gamma(1.0)
     while True:
         n += 1
-        # term_n = z**n / Gamma(alpha*n + 1), one ln_gamma per term
-        ln_gamma_n = ln_gamma(alpha * n + 1.0)
-        term = term * z * math.exp(ln_gamma_prev - ln_gamma_n)
-        ln_gamma_prev = ln_gamma_n
+        if n > len(ratios):
+            table.grow(n)
+        # term_n = z**n / Gamma(alpha*n + 1)
+        term = term * z * ratios[n - 1]
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         if abs(term) <= 1e-16 * max(1.0, abs(total)) and n * alpha > abs(z) ** (1.0 / alpha):
             break
-        if n > 100000:
+        if n > _ML_TAYLOR_MAX_TERMS:
             break
     return total
 
@@ -138,6 +183,16 @@ def _ml_contour_nodes() -> tuple[tuple[complex, complex], ...]:
 _ML_CONTOUR = _ml_contour_nodes()
 
 
+@functools.lru_cache(maxsize=_ML_TABLE_ALPHAS)
+def _ml_contour_table(alpha: float) -> tuple[tuple[complex, complex], ...]:
+    """(weight * s**alpha, s**alpha) at each contour node, for `_ml_contour`."""
+    table = []
+    for log_s, weight in _ML_CONTOUR:
+        s_alpha = cmath.exp(alpha * log_s)
+        table.append((weight * s_alpha, s_alpha))
+    return tuple(table)
+
+
 def _ml_contour(alpha: float, z: float) -> float:
     """E_alpha(z) for z < 0 and 0 < alpha < 1: the trapezoid rule for the
     Laplace inverse of s**(alpha-1) / (s**alpha - z) at t = 1 (Garrappa,
@@ -148,9 +203,8 @@ def _ml_contour(alpha: float, z: float) -> float:
     below 3e-13 absolute for alpha in [1e-4, 0.999], z in [-1000, -0.01].
     """
     total = 0.0
-    for log_s, weight in _ML_CONTOUR:
-        s_alpha = cmath.exp(alpha * log_s)
-        total += (weight * s_alpha / (s_alpha - z)).real
+    for weighted, s_alpha in _ml_contour_table(alpha):
+        total += (weighted / (s_alpha - z)).real
     return total
 
 
@@ -168,8 +222,9 @@ def mittag_leffler(p: MLParams) -> float:
 
 @functools.lru_cache(maxsize=65536)
 def _ml_eval(alpha: float, z: float) -> float:
-    # Memoised: the verification quadratures re-evaluate the same (alpha, z)
-    # pairs across refinement levels and complementary identities.
+    # Memoised: identity (ii) of `transforms.verify_ml_identities` evaluates
+    # the nodes of identity (i) again, half of a verify run's calls.  Even
+    # with the per-alpha tables that saves ~12 of ~72 ms a run (BENCH_18.json).
     if not 0 < alpha <= 2:
         raise ValueError(f"Mittag-Leffler order outside supported (0, 2], got {alpha}")
     if z > ML_Z_MAX_POS:

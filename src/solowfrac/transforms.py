@@ -23,7 +23,7 @@ from operator import mul
 
 from .model import ModelParams, Record
 from .oracles import _leggauss, exact_classical_value
-from .special import MLParams, ln_gamma, mittag_leffler
+from .special import MLParams, _ml_eval, ln_gamma
 
 __all__ = [
     "sumudu_numeric",
@@ -111,6 +111,11 @@ class VerificationReport(Record):
     def passed(self) -> bool:
         return self.max_deviation <= self.tol
 
+    def as_dict(self) -> dict:
+        """Name, tolerance, verdict, largest deviation and (label, deviation) rows."""
+        return {"name": self.name, "tol": self.tol, "passed": self.passed,
+                "max_deviation": self.max_deviation, "rows": self.rows}
+
     def failing_rows(self) -> list[tuple[str, float]]:
         return [(lbl, d) for lbl, d in self.rows if d > self.tol]
 
@@ -133,10 +138,11 @@ def verify_ml_identities(alpha: float, a: float, u_grid: Sequence[float]) -> Ver
     """
     if not a > 0:
         raise ValueError(f"relaxation rate must be positive, got {a}")
+    MLParams(alpha=alpha, z=-a)  # the order and a finite rate, checked once
     report = VerificationReport(name=f"mittag-leffler pair (alpha={alpha}, a={a})", tol=IDENTITY_TOL)
 
     def profile(t: float) -> float:
-        return mittag_leffler(MLParams(alpha=alpha, z=-a * t ** alpha))
+        return _ml_eval(alpha, -a * t ** alpha)
 
     for u in u_grid:
         closed_i = 1.0 / (1.0 + a * u ** alpha)

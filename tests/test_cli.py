@@ -11,6 +11,7 @@ from reference_helpers import parse_csv
 from solowfrac.cli import main
 from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.sweep import CSV_HEADER
+from solowfrac.transforms import VerificationReport, run_all_verifications
 
 
 def run_cli(capsys, *argv):
@@ -340,6 +341,33 @@ class TestVerify:
                             lambda params: received.append(params) or [])
         assert run_cli(capsys, "verify", "--p", "0.7") == (0, "", "")
         assert received == [REFERENCE_PARAMS.with_(p=0.7, alpha=0.8)]
+
+
+    def test_json_names_the_parameters_and_every_row(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--json", "--p", "0.7")
+        assert code == 0
+        params = REFERENCE_PARAMS.with_(p=0.7, alpha=0.8)
+        assert json.loads(out) == {
+            "params": {"p": 0.7, "q": params.q, "mu": params.mu, "alpha": 0.8, "k0": params.k0},
+            "passed": True,
+            "reports": [{"name": rep.name, "tol": rep.tol, "passed": True,
+                         "max_deviation": rep.max_deviation,
+                         "rows": [[label, dev] for label, dev in rep.rows]}
+                        for rep in run_all_verifications(params)],
+        }
+        _, bare, _ = run_cli(capsys, "verify", "--json")
+        assert json.loads(bare)["params"]["p"] == REFERENCE_PARAMS.p != 0.7
+
+    def test_json_failure_exits_1(self, capsys, monkeypatch):
+        failing = VerificationReport(name="broken", tol=1e-5, rows=[("u=0.5", 1.0)])
+        monkeypatch.setattr("solowfrac.transforms.run_all_verifications",
+                            lambda params: [failing])
+        code, out, _ = run_cli(capsys, "verify", "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["passed"] is False
+        assert data["reports"] == [{"name": "broken", "tol": 1e-5, "passed": False,
+                                    "max_deviation": 1.0, "rows": [["u=0.5", 1.0]]}]
 
 
 class TestCompare:

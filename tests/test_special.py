@@ -1,7 +1,10 @@
 """Gamma-family and Mittag-Leffler function tests."""
 
+import cmath
 import math
 import random
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -14,7 +17,15 @@ from solowfrac.special import (
     ln_gamma,
     mittag_leffler,
 )
-from solowfrac.special import _ml_taylor_double
+from solowfrac.special import (
+    _ML_CONTOUR,
+    _ML_TABLE_ALPHAS,
+    _ml_contour,
+    _ml_contour_table,
+    _ml_taylor_double,
+    _ml_taylor_table,
+    _TaylorRatios,
+)
 
 # Reference values computed with 40-digit arbitrary-precision arithmetic.
 LN_GAMMA_HALF = 0.5723649429247000870717136756765293558236
@@ -72,6 +83,52 @@ def ml_taylor_reference(alpha: float, z: float) -> float:
         if n > 100000:
             break
     return total
+
+
+def ml_contour_reference(alpha: float, z: float) -> float:
+    """The contour rule with s**alpha formed at every node for every z."""
+    total = 0.0
+    for log_s, weight in _ML_CONTOUR:
+        s_alpha = cmath.exp(alpha * log_s)
+        total += (weight * s_alpha / (s_alpha - z)).real
+    return total
+
+
+def interleaved_alphas(rng: random.Random, count: int) -> list[float]:
+    """`count` orders drawn from more distinct values than the per-alpha table
+    caches hold, in random order, so tables are both evicted and reused."""
+    pool = [1e-4, 0.05, 1.0 - 1e-9] + [rng.uniform(1e-6, 1.0) for _ in range(2 * _ML_TABLE_ALPHAS)]
+    return [rng.choice(pool) for _ in range(count)]
+
+
+def run_threads(target, count):
+    """`count` threads released together at a 1 us switch interval; each
+    thread's return value, or a missing entry if it raised."""
+    results = {}
+    start = threading.Barrier(count)
+
+    def worker(i):
+        start.wait()
+        results[i] = target(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return [results.get(i) for i in range(count)]
+
+
+def assert_evicted_and_reused(cache, alphas):
+    info = cache.cache_info()
+    assert info.hits > 0
+    assert info.misses > len(set(alphas))  # some order's table was built twice
 
 
 class TestLnGamma:
@@ -178,6 +235,59 @@ class TestMittagLeffler:
         cases += [(0.5, 3.0), (0.8, 10.0), (0.3, 2.0), (0.99, 40.0), (1.5, -3.0), (1.9, -5.0)]
         for alpha, z in cases:
             assert _ml_taylor_double(alpha, z) == ml_taylor_reference(alpha, z), (alpha, z)
+
+    def test_contour_bit_identical_to_per_node_formula(self):
+        _ml_contour_table.cache_clear()
+        rng = random.Random(1801)
+        alphas = interleaved_alphas(rng, 3000)
+        for alpha in alphas:
+            z = -1000.0 + 999.5 * rng.random()  # [-1000, -0.5)
+            assert _ml_contour(alpha, z) == ml_contour_reference(alpha, z), (alpha, z)
+        assert_evicted_and_reused(_ml_contour_table, alphas)
+
+    def test_taylor_sum_bit_identical_through_evicted_and_reused_tables(self):
+        _ml_taylor_table.cache_clear()
+        rng = random.Random(1802)
+        alphas = interleaved_alphas(rng, 600)
+        for alpha in alphas:
+            z = rng.uniform(-0.5, 0.5)
+            assert _ml_taylor_double(alpha, z) == ml_taylor_reference(alpha, z), (alpha, z)
+        assert_evicted_and_reused(_ml_taylor_table, alphas)
+
+    def test_four_threads_on_fresh_tables_match_a_serial_run(self):
+        rng = random.Random(1803)
+        contour_alpha, taylor_alpha = rng.uniform(0.4, 0.9), rng.uniform(0.4, 0.9)
+        # distinct z per thread; the Taylor sums at z up to 5 run to ~50-150
+        # terms, so the threads grow one table at the same time
+        cases = [[(-1000.0 + 999.5 * rng.random(), rng.uniform(-0.5, 5.0)) for _ in range(40)]
+                 for _ in range(4)]
+
+        def run(share):
+            return [(_ml_contour(contour_alpha, zc), _ml_taylor_double(taylor_alpha, zt))
+                    for zc, zt in share]
+
+        _ml_contour_table.cache_clear()
+        _ml_taylor_table.cache_clear()
+        serial = [run(share) for share in cases]
+        assert all(math.isfinite(v) for share in serial for pair in share for v in pair)
+        _ml_contour_table.cache_clear()
+        _ml_taylor_table.cache_clear()
+        assert run_threads(lambda i: run(cases[i]), 4) == serial
+
+    def test_four_threads_growing_one_taylor_table_match_a_serial_one(self):
+        # Every thread asks for one more term at a time, so they race to append.
+        for alpha in (0.3, 0.55, 0.7, 0.9):
+            serial = _TaylorRatios(alpha)
+            serial.grow(2000)
+            shared = _TaylorRatios(alpha)
+
+            def grow_one_by_one(_):
+                for n in range(1, 2001):
+                    shared.grow(n)
+                return True
+
+            assert run_threads(grow_one_by_one, 4) == [True] * 4
+            assert shared.ratios == serial.ratios
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

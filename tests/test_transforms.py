@@ -1,13 +1,17 @@
 """Transform quadrature and identity-verification tests."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import solowfrac.special
+import solowfrac.transforms
 from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.oracles import _leggauss
+from solowfrac.special import MLParams
 from solowfrac.transforms import (
     IDENTITY_TOL,
     QUAD_NODES,
@@ -140,6 +144,14 @@ class TestVerificationReport:
         rep.add("signed", -2e-3)
         assert rep.max_deviation == 2e-3
 
+    def test_as_dict(self):
+        rep = VerificationReport(name="x", tol=1e-5)
+        rep.add("good", 1e-7)
+        rep.add("bad", -3e-4)
+        assert rep.as_dict() == {"name": "x", "tol": 1e-5, "passed": False,
+                                 "max_deviation": 3e-4,
+                                 "rows": [("good", 1e-7), ("bad", 3e-4)]}
+
 
 class TestIdentities:
     def test_ml_pair_classical(self):
@@ -153,6 +165,20 @@ class TestIdentities:
     def test_ml_pair_invalid_rate(self):
         with pytest.raises(ValueError):
             verify_ml_identities(alpha=0.8, a=0.0, u_grid=(0.5,))
+
+    @pytest.mark.parametrize("alpha, a, message", [
+        (0.0, 1.0, "Mittag-Leffler order must be positive, got 0.0"),
+        (-0.5, 1.0, "Mittag-Leffler order must be positive, got -0.5"),
+        (math.nan, 1.0, "Mittag-Leffler order must be positive, got nan"),
+        (2.5, 1.0, "Mittag-Leffler order outside supported (0, 2], got 2.5"),
+        (1.5, 1.0, "cancels below double precision"),
+        (0.8, -1.0, "relaxation rate must be positive, got -1.0"),
+        (0.8, math.nan, "relaxation rate must be positive, got nan"),
+        (0.8, math.inf, "Mittag-Leffler argument must be finite, got -inf"),
+    ])
+    def test_ml_pair_rejects_bad_order_or_rate(self, alpha, a, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            verify_ml_identities(alpha=alpha, a=a, u_grid=(0.5,))
 
     def test_derivative_rules(self):
         rep = verify_derivative_rule(REFERENCE_PARAMS.with_(alpha=0.8), (0.1, 0.5, 1.0))
@@ -174,3 +200,34 @@ class TestIdentities:
         for rep in reports:
             assert rep.passed, rep.render()
         assert all(rep.tol == IDENTITY_TOL for rep in reports)
+
+
+class TestVerifyShape:
+    """What one cold `verify` run at alpha = 0.8 builds and calls."""
+
+    def test_one_record_per_ml_report_and_bounded_ln_gamma(self, monkeypatch):
+        for cache in (solowfrac.special._ml_eval, solowfrac.special._ml_contour_table,
+                      solowfrac.special._ml_taylor_table):
+            cache.cache_clear()
+        calls = {"MLParams": 0, "ln_gamma": 0}
+        validate, ln_gamma = MLParams._validate, solowfrac.special.ln_gamma
+
+        def counting_validate(self):
+            calls["MLParams"] += 1
+            validate(self)
+
+        def counting_ln_gamma(x):
+            calls["ln_gamma"] += 1
+            return ln_gamma(x)
+
+        monkeypatch.setattr(MLParams, "_validate", counting_validate)
+        for module in (solowfrac.special, solowfrac.transforms):
+            monkeypatch.setattr(module, "ln_gamma", counting_ln_gamma)
+        reports = run_all_verifications(REFERENCE_PARAMS.with_(alpha=0.8))
+        ml_reports = [rep for rep in reports if rep.name.startswith("mittag-leffler")]
+        assert len(ml_reports) == 3
+        # one record per report, not one per quadrature node (7,218 before)
+        assert calls["MLParams"] <= len(ml_reports)
+        # the per-alpha gamma-ratio tables, not one call per Taylor term
+        # (10,999 before; 62 measured)
+        assert calls["ln_gamma"] <= 131
