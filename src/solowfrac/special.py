@@ -1,8 +1,8 @@
 """Gamma-family and Mittag-Leffler evaluation.
 
 Every series coefficient and every transform oracle in this package funnels
-through ``ln_gamma``; ``mittag_leffler``'s cached kernel ``_ml_eval`` backs
-the transform identity checks.
+through ``ln_gamma``; ``mittag_leffler``'s kernel ``_ml_eval`` backs the
+transform identity checks, which evaluate it once per quadrature node.
 Two routes serve E_alpha(z) besides exp at alpha = 1: a compensated Taylor
 sum near z = 0 and for z > 0, and a trapezoid rule on a Hankel-type contour
 for z < 0 with alpha < 1.  Only ``math`` and ``cmath`` do the arithmetic.
@@ -220,11 +220,7 @@ def mittag_leffler(p: MLParams) -> float:
     return _ml_eval(p.alpha, p.z)
 
 
-@functools.lru_cache(maxsize=65536)
 def _ml_eval(alpha: float, z: float) -> float:
-    # Memoised: identity (ii) of `transforms.verify_ml_identities` evaluates
-    # the nodes of identity (i) again, half of a verify run's calls.  Even
-    # with the per-alpha tables that saves ~12 of ~72 ms a run (BENCH_18.json).
     if not 0 < alpha <= 2:
         raise ValueError(f"Mittag-Leffler order outside supported (0, 2], got {alpha}")
     if z > ML_Z_MAX_POS:

@@ -84,7 +84,7 @@ GOLDEN = {
     "compare alpha=0.8":
         "df445a3cd81a056cccd0fc070b1ed2c60ad88cf712b0946babcf112e9fefae30",
     "verify":
-        "089bdd780578147985dcc904936e16fb2a88f5b0fd88a2ac95e502b063bf64f2",
+        "a9941c894e1cb9264a345414faba84d1366db2cdc8e5673b24d9a5fad6940131",
 }
 
 

@@ -10,11 +10,12 @@ import pytest
 import solowfrac.special
 import solowfrac.transforms
 from solowfrac.model import REFERENCE_PARAMS
-from solowfrac.oracles import _leggauss
-from solowfrac.special import MLParams
+from solowfrac.oracles import _leggauss, exact_classical_value
+from solowfrac.special import MLParams, _ml_eval
 from solowfrac.transforms import (
     IDENTITY_TOL,
     QUAD_NODES,
+    _convolve,
     _de_nodes,
     VerificationReport,
     run_all_verifications,
@@ -24,6 +25,69 @@ from solowfrac.transforms import (
     verify_derivative_rule,
     verify_ml_identities,
 )
+
+U_GRID = (0.1, 0.5, 1.0)
+# The suite's convolution pairs (psi, zeta, u), as run by `run_all_verifications`.
+CONVOLUTION_PAIRS = (
+    (lambda t: 1.0, lambda t: 1.0, 0.5),
+    (lambda t: t, lambda t: 1.0, 0.5),
+    (lambda t: math.exp(-t), lambda t: t, 0.3),
+)
+
+
+def ml_identities_reference(alpha: float, a: float, u_grid) -> list[tuple[str, float]]:
+    """Rows of `verify_ml_identities` with each identity quadratured through a
+    callable, so identity (ii) evaluates E_alpha at every node again."""
+    report = VerificationReport(name="reference", tol=IDENTITY_TOL)
+
+    def profile(t):
+        return _ml_eval(alpha, -a * t ** alpha)
+
+    for u in u_grid:
+        closed_i = 1.0 / (1.0 + a * u ** alpha)
+        report.add(f"(i)  u={u:g}", sumudu_numeric(profile, u) - closed_i)
+        closed_ii = a * u ** alpha / (1.0 + a * u ** alpha)
+        report.add(f"(ii) u={u:g}", sumudu_numeric(lambda t: 1.0 - profile(t), u) - closed_ii)
+    return report.rows
+
+
+def first_derivative_reference(params, u_grid) -> list[tuple[str, float]]:
+    """First-derivative rows of `verify_derivative_rule`, with k' = rhs(k(t))
+    recomputing the exact k(t) at every node."""
+    report = VerificationReport(name="reference", tol=IDENTITY_TOL)
+    classical = params.with_(alpha=1.0)
+
+    def k_of_t(t):
+        return exact_classical_value(classical, t)
+
+    for u in u_grid:
+        lhs = sumudu_numeric(lambda t: classical.rhs(k_of_t(t)), u)
+        rhs = (sumudu_numeric(k_of_t, u) - classical.k0) / u
+        report.add(f"first-derivative u={u:g}", lhs - rhs)
+    return report.rows
+
+
+def convolve_reference(psi, zeta, t: float, nodes: int) -> float:
+    """(psi * zeta)(t) by an n-node Gauss-Legendre rule on [0, t], summed as
+    `_convolve` sums it."""
+    x, w = _leggauss(nodes)
+    half = 0.5 * t
+    pts = [half * (xi + 1.0) for xi in x]
+    return half * sum(wi * psi(t - si) * zeta(si) for wi, si in zip(w, pts))
+
+
+def t_plus_expm1(t: float) -> float:
+    """(exp(-t) * t)(t) = t + expm1(-t); below t = 1e-2, where that form
+    cancels, the series sum over k >= 2 of (-t)**k / k!."""
+    if t >= 1e-2:
+        return t + math.expm1(-t)
+    total, term, k = 0.0, -t, 1
+    while True:
+        k += 1
+        term *= -t / k
+        total += term
+        if abs(term) <= 1e-17 * total:
+            return total
 
 
 class TestSumuduNumeric:
@@ -194,6 +258,19 @@ class TestIdentities:
         rep = verify_convolution(lambda t: math.exp(-t), lambda t: t, 0.3)
         assert rep.passed
 
+    @pytest.mark.parametrize("alpha", [1e-4, 0.3, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    def test_ml_rows_bit_identical_to_callable_route(self, alpha, a):
+        rep = verify_ml_identities(alpha=alpha, a=a, u_grid=U_GRID)
+        assert rep.rows == ml_identities_reference(alpha, a, U_GRID)
+
+    @pytest.mark.parametrize("alpha", [1e-4, 0.3, 0.5, 0.8, 1.0])
+    @pytest.mark.parametrize("q", [REFERENCE_PARAMS.q, 2.0 * REFERENCE_PARAMS.q])
+    def test_first_derivative_rows_bit_identical_to_callable_route(self, alpha, q):
+        params = REFERENCE_PARAMS.with_(alpha=alpha, q=q)
+        rows = verify_derivative_rule(params, U_GRID).rows
+        assert rows[:len(U_GRID)] == first_derivative_reference(params, U_GRID)
+
     def test_full_suite_passes(self):
         reports = run_all_verifications()
         assert len(reports) == 9
@@ -202,12 +279,34 @@ class TestIdentities:
         assert all(rep.tol == IDENTITY_TOL for rep in reports)
 
 
+class TestConvolutionRule:
+    """The CONV_NODES-node inner rule on the suite's three convolution pairs."""
+
+    CLOSED_FORMS = (lambda t: t, lambda t: 0.5 * t * t, t_plus_expm1)
+
+    def test_inner_rule_matches_closed_forms_at_every_node(self):
+        t_nodes, weights = _de_nodes(QUAD_NODES)
+        for (psi, zeta, u), exact in zip(CONVOLUTION_PAIRS, self.CLOSED_FORMS):
+            worst = 0.0
+            for ti, wi in zip(t_nodes, weights):
+                if wi >= 1e-30:
+                    want = exact(ti * u)
+                    worst = max(worst, abs(_convolve(psi, zeta, ti * u) - want) / want)
+            assert worst <= 1e-13
+
+    def test_rows_match_a_64_node_rule(self):
+        for psi, zeta, u in CONVOLUTION_PAIRS:
+            row = verify_convolution(psi, zeta, u).rows[0][1]
+            lhs = sumudu_numeric(lambda t: convolve_reference(psi, zeta, t, 64), u)
+            row_64 = abs(lhs - u * sumudu_numeric(psi, u) * sumudu_numeric(zeta, u))
+            assert abs(row - row_64) <= 1e-15
+
+
 class TestVerifyShape:
     """What one cold `verify` run at alpha = 0.8 builds and calls."""
 
     def test_one_record_per_ml_report_and_bounded_ln_gamma(self, monkeypatch):
-        for cache in (solowfrac.special._ml_eval, solowfrac.special._ml_contour_table,
-                      solowfrac.special._ml_taylor_table):
+        for cache in (solowfrac.special._ml_contour_table, solowfrac.special._ml_taylor_table):
             cache.cache_clear()
         calls = {"MLParams": 0, "ln_gamma": 0}
         validate, ln_gamma = MLParams._validate, solowfrac.special.ln_gamma
@@ -231,3 +330,32 @@ class TestVerifyShape:
         # the per-alpha gamma-ratio tables, not one call per Taylor term
         # (10,999 before; 62 measured)
         assert calls["ln_gamma"] <= 131
+
+    def test_one_ml_eval_per_node(self, monkeypatch):
+        calls = []
+
+        def counting_ml_eval(alpha, z):
+            calls.append(z)
+            return _ml_eval(alpha, z)
+
+        for module in (solowfrac.special, solowfrac.transforms):
+            monkeypatch.setattr(module, "_ml_eval", counting_ml_eval)
+        run_all_verifications(REFERENCE_PARAMS.with_(alpha=0.8))
+        # 3 reports x 3 u values x 401 nodes; identity (ii) reuses (i)'s values
+        assert len(calls) == 3 * 3 * QUAD_NODES == 3609
+
+    def test_convolution_evaluates_each_integrand_once_per_node(self):
+        calls = {"psi": 0, "zeta": 0}
+
+        def psi(t):
+            calls["psi"] += 1
+            return math.exp(-t)
+
+        def zeta(t):
+            calls["zeta"] += 1
+            return t
+
+        verify_convolution(psi, zeta, 0.3)
+        # 16 per convolution node plus one per node of S[psi] or S[zeta]:
+        # 401 * 16 + 401 (401 * 64 + 401 = 26,065 with the 64-node rule)
+        assert calls == {"psi": 6817, "zeta": 6817}
