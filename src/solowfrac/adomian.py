@@ -15,6 +15,8 @@ polynomials in general.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 __all__ = ["adomian_power_coeffs", "miller_step"]
 
 

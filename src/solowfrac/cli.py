@@ -186,6 +186,8 @@ def _sweep_config_from(args, config) -> SweepConfig:
 
 
 def _cmd_sweep(args, config) -> int:
+    if args.gnuplot_script and not args.out:
+        raise ValueError("--gnuplot-script requires --out: the script plots that CSV file")
     sweep_cfg = _sweep_config_from(args, config)
     grid = run_sweep(sweep_cfg)
     csv_text = grid_to_csv(grid)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from itertools import repeat
 from operator import add, mul
 

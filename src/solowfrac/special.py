@@ -3,20 +3,19 @@
 Every series coefficient and every transform oracle in this package funnels
 through ``ln_gamma``; ``mittag_leffler``'s kernel ``_ml_eval`` backs the
 transform identity checks, which evaluate it once per quadrature node.
-Two routes serve E_alpha(z) besides exp at alpha = 1: a compensated Taylor
-sum near z = 0 and for z > 0, and a trapezoid rule on a Hankel-type contour
-for z < 0 with alpha < 1.  Only ``math`` and ``cmath`` do the arithmetic.
+E_alpha(z) is served where the package evaluates it, 0 < alpha <= 1 and
+z <= 0, by three routes: exp at alpha = 1, a compensated Taylor sum on
+[-0.5, 0], and a trapezoid rule on a Hankel-type contour for z < -0.5.
+Only ``math`` and ``cmath`` do the arithmetic.
 
-What depends on alpha alone is computed once per alpha and kept in a table
-for the 8 most recently used orders: the contour's 33 pairs
+What depends on alpha alone is computed once per alpha and kept in an
+immutable table for the 8 most recently used orders: the contour's 33 pairs
 (weight * s**alpha, s**alpha), and the Taylor sum's gamma ratios
-Gamma(alpha*(n-1) + 1) / Gamma(alpha*n + 1), grown to the longest sum yet
-needed, which the sum's 100,000-term cap bounds.  Each z then costs one
-complex division per contour node and no cmath.exp, or no ln_gamma call per
-Taylor term, with products and sums in the same order as without the
-tables, so the values are bit for bit the same.  All functions are pure and
-thread-safe: a contour table is an immutable tuple, and a Taylor table
-grows only under its own lock, so two threads never interleave their terms.
+Gamma(alpha*(n-1) + 1) / Gamma(alpha*n + 1), as many as any z in [-0.5, 0]
+needs.  Each z then costs one complex division per contour node and no
+cmath.exp, or no ln_gamma call per Taylor term, with products and sums in
+the same order as without the tables, so the values are bit for bit the
+same.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 
 from .model import Record
 
@@ -32,7 +30,6 @@ __all__ = [
     "MLParams",
     "ln_gamma",
     "mittag_leffler",
-    "ML_Z_MAX_POS",
 ]
 
 # Lanczos approximation, g = 7, 9 terms.  Relative accuracy is a few ulp for
@@ -51,16 +48,9 @@ _LANCZOS_COEFS = (
 )
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Supported Mittag-Leffler domain: z <= ML_Z_MAX_POS, and for z > 0 the value
-# must be representable in double precision (z**(1/alpha) bounded).  alpha = 1
-# is the exponential exactly.
-ML_Z_MAX_POS = 50.0
-_ML_OVERFLOW_EXPONENT = 700.0  # exp(700) is near the double-precision ceiling
-_ML_DOUBLE_PEAK_LIMIT = math.log(1e3)  # accumulated eps * peak stays below ~1e-12
 # Below this |z| the Taylor sum is used for every alpha: the contour's error
 # is up to 3e-13 absolute everywhere, so near z = 0 it can return values above 1.
 _ML_TAYLOR_ABS_Z = 0.5
-_ML_TAYLOR_MAX_TERMS = 100000
 _ML_TABLE_ALPHAS = 8  # orders whose per-alpha tables are kept
 
 
@@ -87,75 +77,41 @@ def ln_gamma(x: float) -> float:
     return _LN_SQRT_2PI + (x - 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _ml_peak_log_term(alpha: float, absz: float) -> float:
-    """Log of the largest Taylor term of E_alpha at |z|.
-
-    The continuous maximiser of n*log|z| - lnGamma(alpha*n + 1) sits near
-    n* = |z|**(1/alpha) / alpha; evaluating there is accurate enough for the
-    precision/overflow guards this feeds.
-    """
-    if absz <= 1.0:
-        return 0.0
-    try:
-        n_star = max(1.0, absz ** (1.0 / alpha) / alpha)
-    except OverflowError:
-        n_star = math.inf
-    if n_star == math.inf:
-        return math.inf  # above every guard
-    return n_star * math.log(absz) - ln_gamma(alpha * n_star + 1.0)
-
-
-class _TaylorRatios:
+@functools.lru_cache(maxsize=_ML_TABLE_ALPHAS)
+def _ml_taylor_table(alpha: float) -> tuple[float, ...]:
     """ratios[n-1] = Gamma(alpha*(n-1) + 1) / Gamma(alpha*n + 1) for n = 1, 2, ...
 
-    Each ratio costs one ln_gamma call, the first time any sum at this alpha
-    needs it.  Only `grow` appends, and it holds the lock, so the list never
-    holds two threads' terms out of order; readers index below its length.
+    The table ends once the running bound 0.5**n * prod(ratios) is <= 1e-16.
+    Float multiplication is monotone, so at |z| <= 0.5 every term of
+    `_ml_taylor_double` is at or below that bound, and its stop rule has
+    fired by the last entry: the rule's second clause,
+    n*alpha > |z|**(1/alpha), holds from n = 1, as |z|**(1/alpha)/alpha <= 0.53.
     """
-
-    __slots__ = ("alpha", "ratios", "_ln_gamma_last", "_lock")
-
-    def __init__(self, alpha: float):
-        self.alpha = alpha
-        self.ratios: list[float] = []
-        self._ln_gamma_last = ln_gamma(1.0)
-        self._lock = threading.Lock()
-
-    def grow(self, n: int) -> None:
-        """Extend `ratios` to at least n entries."""
-        with self._lock:
-            while len(self.ratios) < n:
-                ln_gamma_n = ln_gamma(self.alpha * (len(self.ratios) + 1) + 1.0)
-                self.ratios.append(math.exp(self._ln_gamma_last - ln_gamma_n))
-                self._ln_gamma_last = ln_gamma_n
-
-
-@functools.lru_cache(maxsize=_ML_TABLE_ALPHAS)
-def _ml_taylor_table(alpha: float) -> _TaylorRatios:
-    return _TaylorRatios(alpha)
+    ratios = []
+    ln_gamma_last = ln_gamma(1.0)
+    bound = 1.0
+    while bound > 1e-16:
+        ln_gamma_n = ln_gamma(alpha * (len(ratios) + 1) + 1.0)
+        ratio = math.exp(ln_gamma_last - ln_gamma_n)
+        ratios.append(ratio)
+        ln_gamma_last = ln_gamma_n
+        bound = bound * _ML_TAYLOR_ABS_Z * ratio
+    return tuple(ratios)
 
 
 def _ml_taylor_double(alpha: float, z: float) -> float:
-    """Compensated (Kahan) Taylor summation in double precision."""
-    table = _ml_taylor_table(alpha)
-    ratios = table.ratios
+    """Compensated (Kahan) Taylor summation in double precision, for -0.5 <= z <= 0."""
     total = 1.0
     comp = 0.0
     term = 1.0
-    n = 0
-    while True:
-        n += 1
-        if n > len(ratios):
-            table.grow(n)
+    for n, ratio in enumerate(_ml_taylor_table(alpha), start=1):
         # term_n = z**n / Gamma(alpha*n + 1)
-        term = term * z * ratios[n - 1]
+        term = term * z * ratio
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         if abs(term) <= 1e-16 * max(1.0, abs(total)) and n * alpha > abs(z) ** (1.0 / alpha):
-            break
-        if n > _ML_TAYLOR_MAX_TERMS:
             break
     return total
 
@@ -209,32 +165,24 @@ def _ml_contour(alpha: float, z: float) -> float:
 
 
 def mittag_leffler(p: MLParams) -> float:
-    """One-parameter Mittag-Leffler function E_alpha(z) on the supported domain.
+    """One-parameter Mittag-Leffler function E_alpha(z) for 0 < alpha <= 1, z <= 0.
 
-    Route selection: exp(z) at alpha = 1; a contour integral for z < -0.5
-    with alpha < 1; otherwise the compensated double-precision Taylor sum,
-    which for z > 0 is guarded against overflow and for z < 0 with alpha > 1
-    against cancellation.  Raises ValueError outside the supported (alpha, z)
-    region.
+    Routes: exp(z) at alpha = 1; for alpha < 1, the contour integral for
+    z < -0.5 and the compensated double-precision Taylor sum on [-0.5, 0].
+    The contour's error bound, 3e-13, is absolute, so a value below ~1e-10
+    (alpha near 1, z << 0) has no relative accuracy.  Raises ValueError for
+    alpha outside (0, 1] and for z > 0 or NaN.
     """
     return _ml_eval(p.alpha, p.z)
 
 
 def _ml_eval(alpha: float, z: float) -> float:
-    if not 0 < alpha <= 2:
-        raise ValueError(f"Mittag-Leffler order outside supported (0, 2], got {alpha}")
-    if z > ML_Z_MAX_POS:
-        raise ValueError(f"argument {z} exceeds supported maximum {ML_Z_MAX_POS}")
+    if not 0 < alpha <= 1:
+        raise ValueError(f"Mittag-Leffler order outside supported (0, 1], got {alpha}")
+    if not z <= 0:
+        raise ValueError(f"Mittag-Leffler argument outside supported z <= 0, got {z}")
     if alpha == 1.0:
         return math.exp(z)  # underflows to 0.0 without raising
-    if z < -_ML_TAYLOR_ABS_Z and alpha < 1.0:
+    if z < -_ML_TAYLOR_ABS_Z:
         return _ml_contour(alpha, z)
-    peak = _ml_peak_log_term(alpha, abs(z))
-    if z > 0 and peak > _ML_OVERFLOW_EXPONENT:
-        raise ValueError(
-            f"E_{alpha}({z}) overflows double precision (peak log-term {peak:.1f})"
-        )
-    if z < 0 and peak > _ML_DOUBLE_PEAK_LIMIT:
-        raise ValueError(f"E_{alpha}({z}) cancels below double precision (peak "
-                         f"log-term {peak:.1f}); such negative arguments need alpha <= 1")
     return _ml_taylor_double(alpha, z)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Callable, Sequence
 from operator import mul
 
 from .model import ModelParams, Record

@@ -196,6 +196,15 @@ class TestSweep:
         assert code == 0
         assert str(out_path) in plot_path.read_text()
 
+    def test_gnuplot_script_without_out_is_usage_error(self, capsys, tmp_path):
+        plot_path = tmp_path / "grid.gp"
+        code, out, err = run_cli(capsys, "sweep", "--preset", "fig-ktq",
+                                 "--gnuplot-script", str(plot_path))
+        assert code == 2
+        assert out == ""  # refused before the sweep wrote its CSV to stdout
+        assert "--gnuplot-script requires --out" in err
+        assert not plot_path.exists()
+
     def test_missing_axis_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--t-count", "3")
         assert code == 2

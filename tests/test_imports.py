@@ -6,10 +6,12 @@ Each check runs in a fresh interpreter, because this test process has
 imported all of these already.
 """
 
+import inspect
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,29 @@ def test_every_export_resolves_through_star_import():
                     "exec('from solowfrac import *', names)\n"
                     "print(json.dumps(sorted(set(solowfrac.__all__) - set(names))))\n")
     assert json.loads(out) == []
+
+
+def test_every_exported_annotation_resolves():
+    # get_type_hints evaluates each annotation string, so a name that appears
+    # only in annotations and is never imported raises NameError here.
+    targets = []
+    for name in solowfrac.__all__:
+        obj = getattr(solowfrac, name)
+        if not callable(obj):
+            continue
+        targets.append((name, obj))
+        if isinstance(obj, type):
+            for attr, member in inspect.getmembers(obj):
+                member = member.fget if isinstance(member, property) else member
+                if not attr.startswith("_") and callable(member):
+                    targets.append((f"{name}.{attr}", member))
+    unresolved = []
+    for label, target in targets:
+        try:
+            typing.get_type_hints(target)
+        except NameError as exc:
+            unresolved.append(f"{label}: {exc}")
+    assert unresolved == []
 
 
 # One command per fresh process: the package modules each command loads.

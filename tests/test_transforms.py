@@ -234,8 +234,8 @@ class TestIdentities:
         (0.0, 1.0, "Mittag-Leffler order must be positive, got 0.0"),
         (-0.5, 1.0, "Mittag-Leffler order must be positive, got -0.5"),
         (math.nan, 1.0, "Mittag-Leffler order must be positive, got nan"),
-        (2.5, 1.0, "Mittag-Leffler order outside supported (0, 2], got 2.5"),
-        (1.5, 1.0, "cancels below double precision"),
+        (2.5, 1.0, "Mittag-Leffler order outside supported (0, 1], got 2.5"),
+        (1.5, 1.0, "Mittag-Leffler order outside supported (0, 1], got 1.5"),
         (0.8, -1.0, "relaxation rate must be positive, got -1.0"),
         (0.8, math.nan, "relaxation rate must be positive, got nan"),
         (0.8, math.inf, "Mittag-Leffler argument must be finite, got -inf"),
