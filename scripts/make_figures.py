@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from solowfrac.sweep import PRESETS, gnuplot_script, grid_to_csv, run_sweep, sidecar_metadata
+from solowfrac.sweep import PRESETS, gnuplot_script, rows_to_csv, run_sweep, sidecar_metadata
 
 
 def main(argv=None) -> int:
@@ -27,7 +27,7 @@ def main(argv=None) -> int:
         config = PRESETS[name]
         grid = run_sweep(config)
         csv_path = outdir / f"{name}.csv"
-        csv_path.write_text(grid_to_csv(grid))
+        csv_path.write_text(rows_to_csv(grid.rows))
         (outdir / f"{name}.csv.meta.json").write_text(sidecar_metadata(grid))
         (outdir / f"{name}.gp").write_text(gnuplot_script(str(csv_path), config))
         print(f"{name}: {len(grid.rows)} rows -> {csv_path}")

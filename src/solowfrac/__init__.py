@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "model": ("ModelParams", "REFERENCE_PARAMS"),
     "special": ("MLParams", "ln_gamma", "mittag_leffler"),
-    "adomian": ("adomian_power_coeffs",),
     "series": ("SeriesSolution", "build_series", "eval_series"),
     "oracles": ("Trajectory", "solve_exact_classical", "solve_abm_fractional"),
     "equilibrium": ("EquilibriumReport", "find_equilibria"),

@@ -13,19 +13,8 @@ from pathlib import Path
 
 from .model import REFERENCE_PARAMS, ModelParams
 from .series import DEFAULT_ORDER
-from .sweep import (
-    PRESETS,
-    SweepConfig,
-    evaluate,
-    gnuplot_script,
-    grid_to_csv,
-    methods_for,
-    rows_to_csv,
-    run_solve,
-    run_sweep,
-    sidecar_metadata,
-    time_grid,
-)
+from .sweep import (PRESETS, SweepConfig, gnuplot_script, rows_to_csv, run_solve, run_sweep,
+                    sidecar_metadata)
 
 # Flat key=value config files.  Values feed the same validation as the flags.
 CONFIG_KEYS = {
@@ -48,7 +37,10 @@ def _read_config(path: str) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = CONFIG_KEYS[key](val.strip())
+        try:
+            values[key] = CONFIG_KEYS[key](val.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 
@@ -141,7 +133,7 @@ def _cmd_solve(args, config) -> int:
         method=_merged(args, config, "method", "series"),
         order=int(_merged(args, config, "order", DEFAULT_ORDER)),
     )
-    csv_text = rows_to_csv(rows)
+    csv_text = rows_to_csv(rows, axis=False)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -190,7 +182,7 @@ def _cmd_sweep(args, config) -> int:
         raise ValueError("--gnuplot-script requires --out: the script plots that CSV file")
     sweep_cfg = _sweep_config_from(args, config)
     grid = run_sweep(sweep_cfg)
-    csv_text = grid_to_csv(grid)
+    csv_text = rows_to_csv(grid.rows)
     if args.out:
         out = Path(args.out)
         out.write_text(csv_text)
@@ -267,23 +259,17 @@ ORACLE_NAMES = {"exact": "exact-classical", "abm": "abm-fractional"}
 def _cmd_compare(args, config) -> int:
     if not 0 <= args.tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {args.tol}")
-    params = _params_from(args, config)
-    times = time_grid(_merged(args, config, "t_max", 0.5),
-                      int(_merged(args, config, "samples", 21)))
     order = int(_merged(args, config, "order", 8))
-    results = []
-    for method in methods_for("both", params.alpha):
-        values, trusted, reason = evaluate(params, times, method, order)
-        if reason is not None:
-            raise ValueError(reason)
-        results.append((method, values, trusted))
-    (_, series, trusted), (oracle_method, oracle, _) = results
-    gaps = [abs(val - ref) / abs(ref)
-            for val, ref, ok in zip(series, oracle, trusted) if ok]
+    rows = run_solve(_params_from(args, config), _merged(args, config, "t_max", 0.5),
+                     int(_merged(args, config, "samples", 21)), "both", order)
+    # t-major then method: each even row is the series, the next its oracle
+    series, oracle = rows[0::2], rows[1::2]
+    gaps = [abs(k - ref) / abs(ref)
+            for (_, _, k, ok, _), (_, _, ref, _, _) in zip(series, oracle) if ok]
     worst = max([0.0, *gaps])  # from 0.0 first, so a NaN gap is never the worst
     sys.stdout.write(
-        f"series (order {order}) vs {ORACLE_NAMES[oracle_method]}: "
-        f"{len(gaps)}/{len(times)} trusted points, "
+        f"series (order {order}) vs {ORACLE_NAMES[oracle[0][4]]}: "
+        f"{len(gaps)}/{len(series)} trusted points, "
         f"max relative gap {worst:.3e} (tol {args.tol:.1e})\n"
     )
     return 0 if worst <= args.tol and gaps else 1

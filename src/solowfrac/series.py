@@ -14,10 +14,7 @@ Inverting the monomial transform at each order gives the scalar recursion
 with a_n the Adomian coefficient of k**mu at order n.  For alpha = 1 this is
 the classical Taylor recursion c_{n+1} = (p*a_n - q*c_n) / (n+1).
 
-``build_series`` carries the Adomian list a and ln Gamma(n*alpha + 1) from
-order to order: one O(n) ``miller_step`` and one ``ln_gamma`` per order, so
-O(N^2) per build.  It never calls ``adomian_power_coeffs``, so a trace puts
-the recurrence in build_series' own time and reads 0 on adomian's counters.
+The ansatz's Adomian coefficients collapse to one O(n) ``miller_step`` each.
 
 The series is a local expansion: evaluations carry a trust flag based on the
 size of the last retained term.
@@ -26,8 +23,8 @@ size of the last retained term.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
-from .adomian import miller_step
 from .model import ModelParams, Record
 from .special import ln_gamma
 
@@ -36,6 +33,7 @@ __all__ = [
     "build_series",
     "check_order",
     "eval_series",
+    "miller_step",
     "DEFAULT_ORDER",
     "MAX_ORDER",
     "TRUST_TOL",
@@ -65,6 +63,21 @@ def check_order(order: int) -> None:
     """Reject a truncation order outside [1, MAX_ORDER]."""
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {order}")
+
+
+def miller_step(mu: float, c: Sequence[float], a: Sequence[float]) -> float:
+    """The next coefficient a_n, n = len(a) >= 1, of (sum_i c_i x**i)**mu:
+
+        a_n = (1 / (n c_0)) * sum_{j=1..n} (j*mu - (n - j)) c_j a_{n-j}.
+
+    It reads only c_0..c_n and a_0..a_{n-1}, so a prefix of c fixes the same
+    prefix of a, term for term.
+    """
+    n = len(a)
+    s = 0.0
+    for j in range(1, n + 1):
+        s += (j * mu - (n - j)) * c[j] * a[n - j]
+    return s / (n * c[0])
 
 
 def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> SeriesSolution:

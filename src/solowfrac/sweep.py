@@ -25,7 +25,7 @@ __all__ = [
     "run_solve",
     "run_sweep",
     "time_grid",
-    "grid_to_csv",
+    "rows_to_csv",
     "sidecar_metadata",
     "gnuplot_script",
 ]
@@ -174,10 +174,6 @@ def run_solve(params: ModelParams, t_max: float, samples: int,
     The axis column is fixed to 0.0 (no swept parameter).  Validation and
     solver failures raise ValueError (the CLI maps them to exit code 2).
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" and params.alpha != 1.0:
-        raise ValueError("method 'exact' requires alpha = 1")
     times = time_grid(t_max, samples)
     check_order(order)
     cells = []
@@ -216,19 +212,15 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def grid_to_csv(grid: SweepGrid) -> str:
-    """CSV text: header `t,axis,k,trusted,method`, LF endings, 17 significant digits."""
-    lines = [CSV_HEADER]
-    for t, axis, k, trusted, method in grid.rows:
-        lines.append(f"{_fmt(t)},{_fmt(axis)},{_fmt(k)},{'true' if trusted else 'false'},{method}")
-    return "\n".join(lines) + "\n"
+def rows_to_csv(rows: list[Row], axis: bool = True) -> str:
+    """CSV text: header `t,axis,k,trusted,method`, LF endings, 17 significant digits.
 
-
-def rows_to_csv(rows: list[Row], header: str = "t,k,trusted,method") -> str:
-    """CSV for single solves (no axis column)."""
-    lines = [header]
-    for t, _axis, k, trusted, method in rows:
-        lines.append(f"{_fmt(t)},{_fmt(k)},{'true' if trusted else 'false'},{method}")
+    Single solves pass axis=False: their axis column is fixed, so it is dropped.
+    """
+    lines = [CSV_HEADER if axis else "t,k,trusted,method"]
+    for t, v, k, trusted, method in rows:
+        head = f"{_fmt(t)},{_fmt(v)}" if axis else _fmt(t)
+        lines.append(f"{head},{_fmt(k)},{'true' if trusted else 'false'},{method}")
     return "\n".join(lines) + "\n"
 
 

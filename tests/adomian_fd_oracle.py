@@ -1,15 +1,19 @@
-"""Finite-difference test oracle for the Adomian coefficients of k -> k**mu.
+"""The Adomian coefficients of k -> k**mu, two ways, for the tests.
 
-Differentiates x -> (sum_i c_i x**i)**mu at x = 0 directly, in extended
-precision, so it shares no code with the Miller recurrence in
-`solowfrac.adomian` that it checks.
+`adomian_power_coeffs` runs the Miller recurrence that `build_series` uses
+(`solowfrac.series.miller_step`) over a whole coefficient vector.
+`adomian_bruteforce_oracle` differentiates x -> (sum_i c_i x**i)**mu at
+x = 0 directly, in extended precision, so it shares no code with the
+recurrence it checks.
 """
 
 import math
 import warnings
-from typing import Sequence
+from collections.abc import Sequence
 
 import mpmath as mp
+
+from solowfrac.series import miller_step
 
 FD_ACCURACY_LIMIT = 6  # finite differences degrade quickly past the 6th derivative
 # Small step + extended precision: the surviving truncation term scales like
@@ -18,6 +22,24 @@ FD_ACCURACY_LIMIT = 6  # finite differences degrade quickly past the 6th derivat
 # evaluation removes the subtraction round-off that would otherwise dominate.
 FD_STEP = 1e-3
 FD_DPS = 50
+
+
+def adomian_power_coeffs(mu: float, c: Sequence[float]) -> list[float]:
+    """Coefficients a_0..a_{len(c)-1} of (sum_i c_i x**i)**mu.
+
+    a_0 = c_0**mu and each later term is one ``miller_step``.  Exact for
+    analytic nonlinearities, O(N^2), and identical term-by-term to the
+    Adomian polynomials of k**mu under the homogeneous series ansatz.
+    """
+    if not c:
+        raise ValueError("coefficient vector must be non-empty")
+    c0 = c[0]
+    if not c0 > 0:
+        raise ValueError(f"leading coefficient must be positive, got {c0}")
+    a = [c0 ** mu]
+    for _ in range(1, len(c)):
+        a.append(miller_step(mu, c, a))
+    return a
 
 
 def _central_derivative(f, n: int, h) -> mp.mpf:

@@ -9,14 +9,13 @@ import math
 import random
 import time
 
-from adomian_fd_oracle import adomian_bruteforce_oracle
+from adomian_fd_oracle import adomian_bruteforce_oracle, adomian_power_coeffs
 from series_closed_forms import classical_taylor_check, fractional_low_order_coeffs
-from solowfrac.adomian import adomian_power_coeffs
 from solowfrac.equilibrium import find_equilibria
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
 from solowfrac.series import build_series, eval_series
-from solowfrac.sweep import PRESETS, SweepGrid, evaluate, grid_to_csv, run_sweep
+from solowfrac.sweep import PRESETS, evaluate, rows_to_csv, run_sweep
 from solowfrac.transforms import run_all_verifications
 
 
@@ -239,8 +238,8 @@ def test_criterion_9_determinism():
     # Cells must not depend on each other: evaluated one by one in reversed
     # and in shuffled order, they reassemble to the bytes of run_sweep.
     cfg = PRESETS["fig-ktq-frac"].with_(method="both")
-    first = grid_to_csv(run_sweep(cfg))
-    second = grid_to_csv(run_sweep(cfg))
+    first = rows_to_csv(run_sweep(cfg).rows)
+    second = rows_to_csv(run_sweep(cfg).rows)
     times = cfg.times()
     cells = [(v, m) for v in cfg.axis_values() for m in cfg.methods()]
 
@@ -255,7 +254,7 @@ def test_criterion_9_determinism():
             for i, t in enumerate(times)
             for index, (v, m) in enumerate(cells)
         )
-        return grid_to_csv(SweepGrid(config=cfg, rows=rows))
+        return rows_to_csv(rows)
 
     indices = list(range(len(cells)))
     shuffled = indices[:]

@@ -7,8 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adomian_fd_oracle import adomian_bruteforce_oracle
-from solowfrac.adomian import adomian_power_coeffs
+from adomian_fd_oracle import adomian_bruteforce_oracle, adomian_power_coeffs
 
 
 def closed_form_a1(mu, c0, c1):

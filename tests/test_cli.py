@@ -46,11 +46,13 @@ class TestSolve:
         assert methods == ["series", "exact"] * 3
 
     def test_exact_with_fractional_alpha_is_usage_error(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "solve", "--alpha", "0.8", "--method", "exact", "--samples", "5"
         )
         assert code == 2
         assert "error:" in err
+        assert "requires alpha = 1" in err
+        assert out == ""
 
     def test_invalid_parameter_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--mu", "1.5")
@@ -158,6 +160,24 @@ class TestConfigFile:
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--config", str(tmp_path / "nope.cfg"))
         assert code == 2
+
+    @pytest.mark.parametrize("line, key", [("p = abc", "p"), ("samples = 2.5", "samples")])
+    def test_unconvertible_value_names_its_line(self, capsys, tmp_path, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# header\n{line}\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {cfg}:2: ")
+        assert repr(key) in err
+
+    def test_unknown_method_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("method = bogus\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown method 'bogus'\n"
 
 
 class TestSweep:

@@ -10,7 +10,6 @@ from reference_helpers import gamma_ratio
 from series_closed_forms import classical_taylor_check, fractional_low_order_coeffs
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
-import solowfrac.adomian
 import solowfrac.series
 import solowfrac.special
 from solowfrac.series import MAX_ORDER, SeriesSolution, build_series, check_order, eval_series
@@ -137,8 +136,7 @@ class TestSeriesReference:
             return wrapper
 
         for module, name in [(solowfrac.series, "ln_gamma"), (solowfrac.special, "ln_gamma"),
-                             (solowfrac.series, "miller_step"),
-                             (solowfrac.adomian, "miller_step")]:
+                             (solowfrac.series, "miller_step")]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         build_series(REFERENCE_PARAMS.with_(alpha=0.6), order)
         assert calls == {"ln_gamma": order + 1, "miller_step": order - 1}

@@ -11,9 +11,7 @@ from solowfrac.sweep import (
     CSV_HEADER,
     PRESETS,
     SweepConfig,
-    SweepGrid,
     evaluate,
-    grid_to_csv,
     gnuplot_script,
     rows_to_csv,
     run_solve,
@@ -136,7 +134,7 @@ class TestRunSweep:
 
     def test_repeat_run_byte_identical(self):
         cfg = small_config()
-        assert grid_to_csv(run_sweep(cfg)) == grid_to_csv(run_sweep(cfg))
+        assert rows_to_csv(run_sweep(cfg).rows) == rows_to_csv(run_sweep(cfg).rows)
 
     def test_exact_method_with_fractional_axis_value_yields_nan(self):
         # alpha axis crossing below 1 cannot be solved by the closed form;
@@ -226,17 +224,17 @@ class TestEvaluate:
 class TestCsv:
     def test_header(self):
         grid = run_sweep(small_config())
-        text = grid_to_csv(grid)
+        text = rows_to_csv(grid.rows)
         assert text.splitlines()[0] == CSV_HEADER
         assert text.endswith("\n")
         assert "\r" not in text
 
     def test_round_trip_byte_identity(self):
         grid = run_sweep(small_config(method="both"))
-        text = grid_to_csv(grid)
+        text = rows_to_csv(grid.rows)
         header, rows = parse_csv(text)
         assert header == CSV_HEADER
-        assert grid_to_csv(SweepGrid(config=grid.config, rows=tuple(rows))) == text
+        assert rows_to_csv(rows) == text
 
     def test_parse_rejects_wrong_header(self):
         with pytest.raises(ValueError):
@@ -244,12 +242,12 @@ class TestCsv:
 
     def test_seventeen_digit_precision(self):
         grid = run_sweep(small_config())
-        _, rows = parse_csv(grid_to_csv(grid))
+        _, rows = parse_csv(rows_to_csv(grid.rows))
         assert [tuple(r) for r in rows] == [tuple(r) for r in grid.rows]
 
     def test_solve_csv_header(self):
         rows = run_solve(REFERENCE_PARAMS, t_max=1.0, samples=3, method="series")
-        text = rows_to_csv(rows)
+        text = rows_to_csv(rows, axis=False)
         assert text.splitlines()[0] == "t,k,trusted,method"
 
 
