@@ -23,9 +23,19 @@ CONFIG_KEYS = {
     "axis": str, "axis_min": float, "axis_max": float, "axis_count": int,
     "t_count": int, "preset": str,
 }
+MODEL_KEYS = {"p", "q", "mu", "alpha", "k0"}
+# The keys each subcommand reads; any other key in its config file is refused.
+COMMAND_KEYS = {
+    "solve": MODEL_KEYS | {"order", "t_max", "samples", "method"},
+    "sweep": MODEL_KEYS | {"preset", "axis", "axis_min", "axis_max", "axis_count",
+                           "t_max", "t_count", "order", "method"},
+    "equilibria": MODEL_KEYS,
+    "verify": MODEL_KEYS,
+    "compare": MODEL_KEYS | {"order", "t_max", "samples"},
+}
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, command: str) -> dict:
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -37,6 +47,8 @@ def _read_config(path: str) -> dict:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in COMMAND_KEYS[command]:
+            raise ValueError(f"{path}:{lineno}: {command!r} does not read key {key!r}")
         try:
             values[key] = CONFIG_KEYS[key](val.strip())
         except ValueError as exc:
@@ -288,7 +300,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _read_config(args.config) if getattr(args, "config", None) else {}
+        config = _read_config(args.config, args.command) if getattr(args, "config", None) else {}
         return _COMMANDS[args.command](args, config)
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

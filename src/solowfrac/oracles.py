@@ -11,12 +11,13 @@ Two backends that share no code with the series engine:
   sums is the builtin `sum`, oldest term first: plain left-to-right addition
   up to CPython 3.11 (3.12 compensates, ~1 ulp off).  On runs longer than
   EXACT_STEPS steps the older terms go through a sum of exponentials (Jiang,
-  Zhang, Zhang & Zhang, Commun. Comput. Phys. 21(3), 2017): 72-108 modes,
-  each updated once per step, so a run costs O(steps * (WINDOW + modes))
-  instead of O(steps^2).  Over alpha in (0, 1] the modes reproduce
-  the old terms' weights to <= 4.5e-13 relative (measured up to 16,384
-  steps), and a run stays within ~1e-11 relative of the exact full-history
-  sum (measured up to 4,096 steps).
+  Zhang, Zhang & Zhang, Commun. Comput. Phys. 21(3), 2017): 52 modes at
+  513 steps, 64 at 2,048 and 88 at 16,384, each updated once per step, so a
+  run costs O(steps * (WINDOW + modes)) instead of O(steps^2).  Over alpha
+  in (0, 1] the modes reproduce the old terms' weights to <= 6.1e-13
+  relative (measured up to 16,384 steps; 65,536 steps reach 3.6e-12), and a
+  run stays within ~1e-11 relative of the exact full-history sum (measured
+  up to 4,096 steps).
 """
 
 from __future__ import annotations
@@ -33,21 +34,26 @@ from .special import ln_gamma
 __all__ = ["Trajectory", "solve_exact_classical", "solve_abm_fractional"]
 
 MIN_ABM_STEPS = 16
-# Exact weights for memory terms younger than WINDOW steps: a 2,048-step run
-# took 63 ms at 128, 82 ms at 256.  Runs of at most EXACT_STEPS steps keep
-# their whole history exact and build no modes.  With the modes against
-# without, measured: 280 steps 26% slower, 400 6% slower, 512 9% faster, 768
-# 32% faster; 512 also keeps every sweep and compare refinement (< 512 steps)
-# bit for bit.
-WINDOW = 128
+# Exact weights for memory terms younger than WINDOW steps.  A 2,048-step
+# run at alpha = 0.8 took 31.9 ms at 128, 27.1 at 64, 23.2 at 32 and 24.5 at
+# 16 (2 * WINDOW + 3 * modes = 412, 320, 256 and 260 products per step;
+# below 32 the modes need one more panel).  Runs of at most EXACT_STEPS steps
+# keep their whole history exact and build no modes.  With the modes against
+# without, measured: 300 steps 2% slower, 400 16% faster, 512 37% faster.
+# EXACT_STEPS stays 512: it keeps every sweep and compare refinement
+# (< 512 steps) bit for bit, and those runs (~280 steps) would gain nothing.
+WINDOW = 32
 EXACT_STEPS = 512
-# History quadrature: a Gauss-Jacobi rule on [0, 1/steps], then
+# History quadrature: a Gauss-Jacobi rule on [0, HEAD_SPAN / steps], then
 # Gauss-Legendre panels that grow by PANEL_GROWTH up to HISTORY_CUTOFF / WINDOW,
-# beyond which e^(-WINDOW x) < 5e-15.  Against 40-digit weights, 12 + 12 nodes
-# and growth 3 reproduced every b_m and c_m (m in [WINDOW, steps]) to
-# <= 4.5e-13 relative up to 16,384 steps (72-108 modes); 10-node panels, or
-# growth 4 with 12 nodes, left 1e-11.
-JACOBI_NODES = 12
+# beyond which e^(-WINDOW x) < 5e-15.  Against 40-digit weights, 16 Jacobi
+# nodes over span 27 and 12-node panels with growth 3 reproduced every b_m and
+# c_m (m in [WINDOW, steps]) to <= 6.1e-13 relative up to 16,384 steps, where
+# the rounding of e^(-x) raised to the age sets the floor (18 nodes: 5.3e-13).
+# Span 9 costs one more panel, span 81 passes only with 28 nodes, and
+# 10-node panels, or growth 4, left 1e-11.
+JACOBI_NODES = 16
+HEAD_SPAN = 27.0
 PANEL_NODES = 12
 PANEL_GROWTH = 3.0
 HISTORY_CUTOFF = 33.0
@@ -170,7 +176,7 @@ def _history_modes(alpha: float, steps: int) -> tuple[list[float], list[float], 
     """
     if alpha == 1.0:
         return [1.0], [1.0], [2.0]
-    top = 1.0 / steps
+    top = HEAD_SPAN / steps
     t, w = _jacgauss(JACOBI_NODES, -alpha)
     nodes = [0.5 * top * (1.0 + ti) for ti in t]
     weights = [(0.5 * top) ** (1.0 - alpha) * wi for wi in w]

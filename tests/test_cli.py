@@ -171,6 +171,20 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}:2: ")
         assert repr(key) in err
 
+    @pytest.mark.parametrize("command, line", [
+        ("solve", "axis = p"), ("sweep", "samples = 3"),
+        ("compare", "axis_min = 0.2"), ("verify", "order = 8"),
+    ])
+    def test_key_the_command_does_not_read_is_usage_error(self, capsys, tmp_path, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"p = 0.5\n{line}\n")
+        argv = ["--preset", "fig-ktq"] if command == "sweep" else []
+        code, out, err = run_cli(capsys, command, *argv, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        key = line.split()[0]
+        assert err == f"error: {cfg}:2: {command!r} does not read key {key!r}\n"
+
     def test_unknown_method_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("method = bogus\n")

@@ -199,7 +199,8 @@ class TestABM:
 class TestABMReference:
     # Runs of at most EXACT_STEPS steps keep the whole history exact.
     @pytest.mark.parametrize("steps, count", [
-        (16, 12), (17, 12), (WINDOW, 4), (WINDOW + 1, 4), (280, 6), (EXACT_STEPS, 2),
+        (16, 12), (17, 12), (WINDOW, 4), (WINDOW + 1, 4), (128, 4), (129, 4), (280, 6),
+        (EXACT_STEPS, 2),
     ])
     def test_bit_identical_to_double_loop(self, steps, count):
         for params, t_end in _draws(steps, count):
@@ -208,7 +209,7 @@ class TestABMReference:
 
     # Longer runs send terms older than WINDOW steps through the modes: the
     # first WINDOW + 1 steps stay exact, and no value may move by more than
-    # 1e-10 relative (measured: <= 8.3e-12).
+    # 1e-10 relative (measured: <= 8.2e-12).
     @pytest.mark.parametrize("steps, count", [(EXACT_STEPS + 1, 6), (2048, 4), (4096, 4)])
     def test_history_within_1e10_of_double_loop(self, steps, count):
         for params, t_end in _draws(steps, count):
@@ -232,7 +233,7 @@ class TestABMReference:
     def test_failure_in_a_long_run_matches_double_loop(self):
         # Subnormal capital keeps every memory sum exact, so at alpha = 1 the
         # history's one mode and the double loop add the same numbers: the
-        # predictor overshoots at step 406, with the modes in use since 129.
+        # predictor overshoots at step 406, with the modes in use since WINDOW + 1.
         params = ModelParams(p=1e-300, q=1.0, mu=0.5, alpha=1.0, k0=1e-310)
         with pytest.raises(ArithmeticError) as expected:
             _abm_reference(params, 7.5, 600)
@@ -258,11 +259,14 @@ class TestABMReference:
 class TestHistoryKernel:
     """The modes against 40-digit weights b_m and c_m, m in [WINDOW, steps]."""
 
+    ALPHAS = [1e-4, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0 - 1e-9, 1.0]
+
     @pytest.mark.parametrize("steps", [EXACT_STEPS + 1, 2048, 16384])
-    @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0 - 1e-9, 1.0])
+    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_modes_reproduce_weights(self, steps, alpha):
         decay, wb, wc = _history_modes(alpha, steps)
-        ages = sorted({WINDOW, WINDOW + 1, steps - 1, steps}
+        # every age just past the window, then log-spaced ages up to the run's length
+        ages = sorted({steps - 1, steps} | set(range(WINDOW, WINDOW + 65))
                       | {round(WINDOW * (steps / WINDOW) ** (i / 24)) for i in range(25)})
         worst = 0.0
         with mp.workdps(40):
@@ -274,6 +278,13 @@ class TestHistoryKernel:
                 got_c = math.fsum(w * d ** (m - WINDOW - 1) for w, d in zip(wc, decay))
                 worst = max(worst, abs(got_b - b) / b, abs(got_c - c) / c)
         assert worst <= 1e-12
+
+    # A run pays 2 * WINDOW + 3 * modes products per step; these caps keep
+    # that at most 256 at 2,048 steps.
+    @pytest.mark.parametrize("steps, most", [(2048, 64), (16384, 88)])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_mode_count(self, steps, most, alpha):
+        assert len(_history_modes(alpha, steps)[0]) <= most
 
 
 class TestGaussJacobi:
