@@ -2,7 +2,8 @@
 """Regenerate every figure-replication sweep grid as CSV (+ sidecar, gnuplot).
 
 Writes, for each preset, <outdir>/<preset>.csv, <preset>.csv.meta.json and
-<preset>.gp.  Output is deterministic: rerunning produces byte-identical
+<preset>.gp through `solowfrac sweep --preset`, so the files are those the
+CLI writes.  Output is deterministic: rerunning produces byte-identical
 files, so the artifacts are diff-friendly.
 """
 
@@ -10,7 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from solowfrac.sweep import PRESETS, gnuplot_script, rows_to_csv, run_sweep, sidecar_metadata
+from solowfrac.cli import main as cli_main
+from solowfrac.sweep import PRESETS
 
 
 def main(argv=None) -> int:
@@ -24,13 +26,13 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     names = args.preset or sorted(PRESETS)
     for name in names:
-        config = PRESETS[name]
-        grid = run_sweep(config)
         csv_path = outdir / f"{name}.csv"
-        csv_path.write_text(rows_to_csv(grid.rows))
-        (outdir / f"{name}.csv.meta.json").write_text(sidecar_metadata(grid))
-        (outdir / f"{name}.gp").write_text(gnuplot_script(str(csv_path), config))
-        print(f"{name}: {len(grid.rows)} rows -> {csv_path}")
+        code = cli_main(["sweep", "--preset", name, "--out", str(csv_path),
+                         "--gnuplot-script", str(outdir / f"{name}.gp")])
+        if code:
+            return code
+        rows = len(csv_path.read_text().splitlines()) - 1
+        print(f"{name}: {rows} rows -> {csv_path}")
     return 0
 
 

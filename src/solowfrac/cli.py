@@ -9,35 +9,59 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
+from os.path import normpath
 
 from .model import REFERENCE_PARAMS, ModelParams
 from .series import DEFAULT_ORDER
-from .sweep import (PRESETS, SweepConfig, gnuplot_script, rows_to_csv, run_solve, run_sweep,
-                    sidecar_metadata)
+from .sweep import (AXES, METHODS, PRESETS, SweepConfig, gnuplot_script, rows_to_csv, run_solve,
+                    run_sweep, sidecar_metadata)
 
-# Flat key=value config files.  Values feed the same validation as the flags.
-CONFIG_KEYS = {
-    "p": float, "q": float, "mu": float, "alpha": float, "k0": float,
-    "order": int, "t_max": float, "samples": int, "method": str,
-    "axis": str, "axis_min": float, "axis_max": float, "axis_count": int,
-    "t_count": int, "preset": str,
-}
-MODEL_KEYS = {"p", "q", "mu", "alpha", "k0"}
-# The keys each subcommand reads; any other key in its config file is refused.
+# Each subcommand's value settings, key -> type.  The flag is the key with
+# `-` for `_`; a config file sets the same value with a `key = value` line.
+MODEL_KEYS = dict.fromkeys(ModelParams.__slots__, float)
 COMMAND_KEYS = {
-    "solve": MODEL_KEYS | {"order", "t_max", "samples", "method"},
-    "sweep": MODEL_KEYS | {"preset", "axis", "axis_min", "axis_max", "axis_count",
-                           "t_max", "t_count", "order", "method"},
+    "solve": {**MODEL_KEYS, "order": int, "t_max": float, "samples": int, "method": str},
+    "sweep": {**MODEL_KEYS, "preset": str, "axis": str, "axis_min": float, "axis_max": float,
+              "axis_count": int, "t_max": float, "t_count": int, "order": int, "method": str},
     "equilibria": MODEL_KEYS,
     "verify": MODEL_KEYS,
-    "compare": MODEL_KEYS | {"order", "t_max", "samples"},
+    "compare": {**MODEL_KEYS, "order": int, "t_max": float, "samples": int, "tol": float},
+}
+# Each setting that no flag, config line or preset gives.  A sweep's preset,
+# axis and axis range have no default.
+_REFERENCE = REFERENCE_PARAMS.as_dict()
+DEFAULTS = {
+    "solve": {**_REFERENCE, "order": DEFAULT_ORDER, "t_max": 2.0, "samples": 41, "method": "series"},
+    "sweep": {**_REFERENCE, "axis_count": 21, "t_max": 2.0, "t_count": 41,
+              "order": DEFAULT_ORDER, "method": "series"},
+    "equilibria": _REFERENCE,
+    "verify": {**_REFERENCE, "alpha": 0.8},
+    "compare": {**_REFERENCE, "order": 8, "t_max": 0.5, "samples": 21, "tol": 1e-3},
+}
+CHOICES = {"preset": sorted(PRESETS), "axis": AXES, "method": METHODS}
+HELP = {
+    "p": "productivity coefficient (> 0)",
+    "q": "depreciation/labour-growth rate (> 0)",
+    "mu": "capital elasticity in (0, 1)",
+    "alpha": "fractional order in (0, 1]",
+    "k0": "initial capital-labour ratio (> 0)",
+    "order": "series truncation (default {order})",
+    "tol": "max allowed relative gap",
+}
+SUMMARY = {
+    "solve": "single trajectory to CSV",
+    "sweep": "parameter sweep grid to CSV",
+    "equilibria": "fixed points and stability",
+    "verify": "run all transform identity checks",
+    "compare": "series vs oracle on the trusted region",
 }
 
 
 def _read_config(path: str, command: str) -> dict:
+    with open(path) as f:
+        text = f.read()
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -45,44 +69,15 @@ def _read_config(path: str, command: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if not any(key in keys for keys in COMMAND_KEYS.values()):
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key not in COMMAND_KEYS[command]:
             raise ValueError(f"{path}:{lineno}: {command!r} does not read key {key!r}")
         try:
-            values[key] = CONFIG_KEYS[key](val.strip())
+            values[key] = COMMAND_KEYS[command][key](val.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
-
-
-def _add_param_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=float, default=None, help="productivity coefficient (> 0)")
-    sp.add_argument("--q", type=float, default=None, help="depreciation/labour-growth rate (> 0)")
-    sp.add_argument("--mu", type=float, default=None, help="capital elasticity in (0, 1)")
-    sp.add_argument("--alpha", type=float, default=None, help="fractional order in (0, 1]")
-    sp.add_argument("--k0", type=float, default=None, help="initial capital-labour ratio (> 0)")
-    sp.add_argument("--config", default=None, help="flat key=value config file")
-
-
-def _merged(args, config: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def _params_from(args, config: dict, base: ModelParams = REFERENCE_PARAMS) -> ModelParams:
-    """Model parameters: flag, then config file, then `base`."""
-    return ModelParams(
-        p=_merged(args, config, "p", base.p),
-        q=_merged(args, config, "q", base.q),
-        mu=_merged(args, config, "mu", base.mu),
-        alpha=_merged(args, config, "alpha", base.alpha),
-        k0=_merged(args, config, "k0", base.k0),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,115 +87,79 @@ def build_parser() -> argparse.ArgumentParser:
                     "Caputo-fractional Solow-Swan capital accumulation model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="single trajectory to CSV")
-    _add_param_flags(p_solve)
-    p_solve.add_argument("--order", type=int, default=None, help=f"series truncation (default {DEFAULT_ORDER})")
-    p_solve.add_argument("--t-max", type=float, default=None, dest="t_max")
-    p_solve.add_argument("--samples", type=int, default=None)
-    p_solve.add_argument("--method", choices=["series", "abm", "exact", "both"], default=None)
-    p_solve.add_argument("--out", default=None, help="output CSV path (default stdout)")
-
-    p_sweep = sub.add_parser("sweep", help="parameter sweep grid to CSV")
-    _add_param_flags(p_sweep)
-    p_sweep.add_argument("--preset", choices=sorted(PRESETS), default=None)
-    p_sweep.add_argument("--axis", choices=["p", "q", "mu", "alpha"], default=None)
-    p_sweep.add_argument("--axis-min", type=float, default=None, dest="axis_min")
-    p_sweep.add_argument("--axis-max", type=float, default=None, dest="axis_max")
-    p_sweep.add_argument("--axis-count", type=int, default=None, dest="axis_count")
-    p_sweep.add_argument("--t-max", type=float, default=None, dest="t_max")
-    p_sweep.add_argument("--t-count", type=int, default=None, dest="t_count")
-    p_sweep.add_argument("--order", type=int, default=None)
-    p_sweep.add_argument("--method", choices=["series", "abm", "exact", "both"], default=None)
-    p_sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    p_sweep.add_argument("--gnuplot-script", default=None, dest="gnuplot_script",
-                         help="also write a companion gnuplot script to this path")
-
-    p_eq = sub.add_parser("equilibria", help="fixed points and stability")
-    _add_param_flags(p_eq)
-    p_eq.add_argument("--json", action="store_true", help="print JSON instead of a table")
-    p_eq.add_argument("--out", default=None, help="also write the JSON report here")
-
-    p_verify = sub.add_parser("verify", help="run all transform identity checks")
-    _add_param_flags(p_verify)
-    p_verify.add_argument("--json", action="store_true",
-                          help="print the parameters and every report's rows as JSON")
-
-    p_cmp = sub.add_parser("compare", help="series vs oracle on the trusted region")
-    _add_param_flags(p_cmp)
-    p_cmp.add_argument("--order", type=int, default=None)
-    p_cmp.add_argument("--t-max", type=float, default=None, dest="t_max")
-    p_cmp.add_argument("--samples", type=int, default=None)
-    p_cmp.add_argument("--tol", type=float, default=1e-3, help="max allowed relative gap")
-
+    subparsers = {}
+    for command, summary in SUMMARY.items():
+        sp = subparsers[command] = sub.add_parser(command, help=summary)
+        for key, kind in COMMAND_KEYS[command].items():
+            sp.add_argument("--" + key.replace("_", "-"), type=kind, choices=CHOICES.get(key),
+                            help=HELP.get(key, "").format_map(DEFAULTS[command]))
+            if key == "k0":  # --config follows the model flags on every subcommand
+                sp.add_argument("--config", help="flat key=value config file")
+    for command in ("solve", "sweep"):
+        subparsers[command].add_argument("--out", help="output CSV path (default stdout)")
+    subparsers["sweep"].add_argument("--gnuplot-script",
+                                     help="also write a companion gnuplot script to this path")
+    subparsers["equilibria"].add_argument("--json", action="store_true",
+                                          help="print JSON instead of a table")
+    subparsers["equilibria"].add_argument("--out", help="also write the JSON report here")
+    subparsers["verify"].add_argument("--json", action="store_true",
+                                      help="print the parameters and every report's rows as JSON")
     return parser
 
 
-def _cmd_solve(args, config) -> int:
-    params = _params_from(args, config)
-    rows = run_solve(
-        params,
-        t_max=_merged(args, config, "t_max", 2.0),
-        samples=int(_merged(args, config, "samples", 41)),
-        method=_merged(args, config, "method", "series"),
-        order=int(_merged(args, config, "order", DEFAULT_ORDER)),
-    )
+def _settings(args) -> dict:
+    """Each value setting from its flag, then the config file, then the preset, then the default."""
+    keys = COMMAND_KEYS[args.command]
+    config = _read_config(args.config, args.command) if args.config else {}
+    flags = {key: value for key in keys if (value := getattr(args, key)) is not None}
+    preset = PRESETS.get(flags.get("preset", config.get("preset")))  # sweep refuses unknown names
+    fields = {}
+    if preset is not None:
+        (lo, hi, count), (t_max, t_count) = preset.axis_range, preset.t_range
+        fields = {**preset.base.as_dict(), "axis": preset.axis, "axis_min": lo, "axis_max": hi,
+                  "axis_count": count, "t_max": t_max, "t_count": t_count,
+                  "order": preset.order, "method": preset.method}
+    return {**DEFAULTS[args.command], **fields, **config, **flags}
+
+
+def _params(settings: dict) -> ModelParams:
+    return ModelParams(*(settings[key] for key in MODEL_KEYS))
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _cmd_solve(args, s) -> int:
+    rows = run_solve(_params(s), s["t_max"], s["samples"], s["method"], s["order"])
     csv_text = rows_to_csv(rows, axis=False)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        _write(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0
 
 
-# Sweep fields without a preset.  The axis and its range have no default.
-SWEEP_DEFAULTS = {"axis_count": 21, "t_max": 2.0, "t_count": 41,
-                  "order": DEFAULT_ORDER, "method": "series"}
-
-
-def _preset_fields(preset: SweepConfig) -> dict:
-    (lo, hi, count), (t_max, t_count) = preset.axis_range, preset.t_range
-    return {"axis": preset.axis, "axis_min": lo, "axis_max": hi, "axis_count": count,
-            "t_max": t_max, "t_count": t_count, "order": preset.order,
-            "method": preset.method}
-
-
-def _sweep_config_from(args, config) -> SweepConfig:
-    """Each field from its flag, then the config file, then the preset, then the default."""
-    name = _merged(args, config, "preset", None)
-    if name is not None and name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    preset = PRESETS.get(name)
-    fallback = SWEEP_DEFAULTS if preset is None else _preset_fields(preset)
-    value = {key: _merged(args, config, key, fallback.get(key))
-             for key in ("axis", "axis_min", "axis_max", "axis_count", "t_max", "t_count",
-                         "order", "method")}
-    if value["axis"] is None:
-        raise ValueError("sweep requires --preset or --axis with a range")
-    if value["axis_min"] is None or value["axis_max"] is None:
-        raise ValueError("sweep requires --axis-min and --axis-max")
-    return SweepConfig(
-        base=_params_from(args, config, REFERENCE_PARAMS if preset is None else preset.base),
-        axis=value["axis"],
-        axis_range=(value["axis_min"], value["axis_max"], value["axis_count"]),
-        t_range=(value["t_max"], value["t_count"]),
-        order=value["order"],
-        method=value["method"],
-    )
-
-
-def _cmd_sweep(args, config) -> int:
+def _cmd_sweep(args, s) -> int:
     if args.gnuplot_script and not args.out:
         raise ValueError("--gnuplot-script requires --out: the script plots that CSV file")
-    sweep_cfg = _sweep_config_from(args, config)
+    if s.get("preset") not in (None, *PRESETS):
+        raise ValueError(f"unknown preset {s['preset']!r}; choose from {sorted(PRESETS)}")
+    if s.get("axis") is None:
+        raise ValueError("sweep requires --preset or --axis with a range")
+    if s.get("axis_min") is None or s.get("axis_max") is None:
+        raise ValueError("sweep requires --axis-min and --axis-max")
+    sweep_cfg = SweepConfig(_params(s), s["axis"], (s["axis_min"], s["axis_max"], s["axis_count"]),
+                            (s["t_max"], s["t_count"]), s["order"], s["method"])
     grid = run_sweep(sweep_cfg)
     csv_text = rows_to_csv(grid.rows)
     if args.out:
-        out = Path(args.out)
-        out.write_text(csv_text)
-        Path(str(out) + ".meta.json").write_text(sidecar_metadata(grid))
+        _write(args.out, csv_text)
+        _write(args.out + ".meta.json", sidecar_metadata(grid))
         if args.gnuplot_script:
-            Path(args.gnuplot_script).write_text(gnuplot_script(str(out), sweep_cfg))
+            # the script names the CSV in normal form: `./out//g.csv` as `out/g.csv`
+            _write(args.gnuplot_script, gnuplot_script(normpath(args.out), sweep_cfg))
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -220,24 +179,22 @@ def _render_equilibria_table(report, params) -> str:
     return "\n".join(lines)
 
 
-def _cmd_equilibria(args, config) -> int:
+def _cmd_equilibria(args, s) -> int:
     import json
 
     from .equilibrium import find_equilibria
 
-    params = _params_from(args, config)
+    params = _params(s)
     report = find_equilibria(params)
-    if args.json:
-        sys.stdout.write(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(_render_equilibria_table(report, params) + "\n")
+    text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text if args.json else _render_equilibria_table(report, params) + "\n")
     if args.out:
-        Path(args.out).write_text(json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n")
+        _write(args.out, text)
     return 0
 
 
-def _cmd_verify(args, config) -> int:
-    params = _params_from(args, config, REFERENCE_PARAMS.with_(alpha=0.8))
+def _cmd_verify(args, s) -> int:
+    params = _params(s)
     from .transforms import run_all_verifications
 
     reports = run_all_verifications(params)
@@ -268,12 +225,11 @@ def _cmd_verify(args, config) -> int:
 ORACLE_NAMES = {"exact": "exact-classical", "abm": "abm-fractional"}
 
 
-def _cmd_compare(args, config) -> int:
-    if not 0 <= args.tol < math.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {args.tol}")
-    order = int(_merged(args, config, "order", 8))
-    rows = run_solve(_params_from(args, config), _merged(args, config, "t_max", 0.5),
-                     int(_merged(args, config, "samples", 21)), "both", order)
+def _cmd_compare(args, s) -> int:
+    tol, order = s["tol"], s["order"]
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    rows = run_solve(_params(s), s["t_max"], s["samples"], "both", order)
     # t-major then method: each even row is the series, the next its oracle
     series, oracle = rows[0::2], rows[1::2]
     gaps = [abs(k - ref) / abs(ref)
@@ -282,9 +238,9 @@ def _cmd_compare(args, config) -> int:
     sys.stdout.write(
         f"series (order {order}) vs {ORACLE_NAMES[oracle[0][4]]}: "
         f"{len(gaps)}/{len(series)} trusted points, "
-        f"max relative gap {worst:.3e} (tol {args.tol:.1e})\n"
+        f"max relative gap {worst:.3e} (tol {tol:.1e})\n"
     )
-    return 0 if worst <= args.tol and gaps else 1
+    return 0 if worst <= tol and gaps else 1
 
 
 _COMMANDS = {
@@ -297,11 +253,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _read_config(args.config, args.command) if getattr(args, "config", None) else {}
-        return _COMMANDS[args.command](args, config)
+        return _COMMANDS[args.command](args, _settings(args))
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -132,13 +132,6 @@ class VerificationReport(Record):
     def failing_rows(self) -> list[tuple[str, float]]:
         return [(lbl, d) for lbl, d in self.rows if d > self.tol]
 
-    def render(self) -> str:
-        lines = [f"{self.name}: max deviation {self.max_deviation:.3e} "
-                 f"(tol {self.tol:.1e}) {'PASS' if self.passed else 'FAIL'}"]
-        for lbl, d in self.rows:
-            lines.append(f"  {lbl:<40s} {d:.3e}")
-        return "\n".join(lines)
-
 
 def verify_ml_identities(alpha: float, a: float, u_grid: Sequence[float]) -> VerificationReport:
     """Transform pair of the relaxation profile E_alpha(-a*t**alpha).

@@ -144,7 +144,7 @@ def test_criterion_5_transform_identity_suite():
     ok = all_pass and worst <= 1e-5 and elapsed < 10.0
     _emit(5, ok, f"{len(reports)} identity groups, worst deviation {worst:.2e} "
                  f"(tol 1e-5); {elapsed:.2f}s < 10s")
-    assert ok, "\n".join(rep.render() for rep in reports if not rep.passed)
+    assert ok, [rep.as_dict() for rep in reports if not rep.passed]
 
 
 def test_criterion_6_adomian_oracle_equivalence():

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from reference_helpers import parse_csv
-from solowfrac.cli import main
+from solowfrac.cli import COMMAND_KEYS, main
 from solowfrac.model import REFERENCE_PARAMS
-from solowfrac.sweep import CSV_HEADER
+from solowfrac.sweep import CSV_HEADER, PRESETS, SweepConfig
 from solowfrac.transforms import VerificationReport, run_all_verifications
 
 
@@ -192,6 +192,64 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert err == "error: unknown method 'bogus'\n"
+
+
+# A small run of each subcommand, and a value for every key of the settings
+# table that differs from its default.
+BASE_SETTINGS = {
+    "solve": {"samples": "3"},
+    "sweep": {"axis": "p", "axis_min": "0.3", "axis_max": "0.9", "axis_count": "2",
+              "t_count": "3"},
+    "equilibria": {"json": None},
+    "verify": {"json": None},
+    "compare": {"samples": "3"},
+}
+VALUES = {
+    "p": "0.6", "q": "0.25", "mu": "0.4", "alpha": "0.9", "k0": "1.5", "order": "6",
+    "t_max": "1.0", "samples": "4", "method": "both", "preset": "fig-ktq-frac", "axis": "q",
+    "axis_min": "0.2", "axis_max": "0.8", "axis_count": "3", "t_count": "4", "tol": "1e-2",
+}
+# Settings whose value the output does not show: the base sweep runs along p,
+# and the fixed points depend on neither alpha nor k0.
+UNSEEN = {("sweep", "p"), ("equilibria", "alpha"), ("equilibria", "k0")}
+
+
+def _flags(settings):
+    argv = []
+    for key, value in settings.items():
+        argv += ["--" + key.replace("_", "-")] + ([] if value is None else [value])
+    return argv
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in COMMAND_KEYS.items() for key in keys])
+    def test_config_line_acts_like_the_flag(self, capsys, tmp_path, command, key):
+        base = {k: v for k, v in BASE_SETTINGS[command].items() if k != key}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {VALUES[key]}\n")
+        by_flag = run_cli(capsys, command, *_flags(base), *_flags({key: VALUES[key]}))
+        by_config = run_cli(capsys, command, *_flags(base), "--config", str(cfg))
+        assert by_flag[0] in (0, 1)
+        assert by_config == by_flag
+        unset = run_cli(capsys, command, *_flags(base))
+        assert (by_flag == unset) == ((command, key) in UNSEEN)
+
+    def test_precedence_flag_config_preset(self, capsys, tmp_path):
+        # The config file names the preset and overrides one of its fields and
+        # one parameter of its base; flags override two of the config values.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset = fig-ktq-frac\nalpha = 0.9\nmu = 0.4\n"
+                       "axis_count = 2\nt_count = 5\n")
+        layered = tmp_path / "layered.csv"
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--alpha", "0.95",
+                                 "--t-count", "3", "--out", str(layered))
+        assert (code, out, err) == (0, "", "")
+        preset = PRESETS["fig-ktq-frac"]
+        expected = SweepConfig(base=preset.base.with_(alpha=0.95, mu=0.4), axis="q",
+                               axis_range=(0.1, 0.4, 2), t_range=(2.0, 3))
+        meta = json.loads((tmp_path / "layered.csv.meta.json").read_text())
+        assert meta["config"] == expected.as_dict()
 
 
 class TestSweep:
@@ -436,6 +494,22 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert err == f"error: tol must be nonnegative and finite, got {float(tol)}\n"
+
+    @pytest.mark.parametrize("tol, exit_code", [("1e-2", 0), ("1e-16", 1)])
+    def test_tol_from_config_file_acts_like_the_flag(self, capsys, tmp_path, tol, exit_code):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tol = {tol}\n")
+        by_config = run_cli(capsys, "compare", "--t-max", "2.0", "--config", str(cfg))
+        assert by_config == run_cli(capsys, "compare", "--t-max", "2.0", "--tol", tol)
+        assert by_config[0] == exit_code
+
+    def test_bad_tolerance_in_config_file_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol = -1\n")
+        code, out, err = run_cli(capsys, "compare", "--alpha", "0.8", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err == "error: tol must be nonnegative and finite, got -1.0\n"
 
     @pytest.mark.parametrize("command", ["compare", "solve"])
     @pytest.mark.parametrize("flag, value, message", [

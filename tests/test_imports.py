@@ -152,3 +152,12 @@ print(code, "json" in sys.modules)
 def test_command_without_json_output_does_not_load_json(argv):
     # json costs ~2 ms of start-up; only sweep sidecars and equilibria use it
     assert run_fresh(NO_JSON, *argv).split() == ["0", "False"]
+
+
+def test_cli_does_not_import_pathlib():
+    # -S skips `site`, whose start-up hooks may load pathlib on their own.
+    program = (f"import sys; sys.path.insert(0, {SRC!r}); import solowfrac.cli; "
+               "print('pathlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", program], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.split() == ["False"]

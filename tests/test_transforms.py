@@ -201,7 +201,6 @@ class TestVerificationReport:
         rep.add("bad", 3e-4)
         assert not rep.passed
         assert rep.failing_rows() == [("bad", 3e-4)]
-        assert "FAIL" in rep.render()
 
     def test_add_takes_magnitude(self):
         rep = VerificationReport(name="x", tol=1e-5)
@@ -275,7 +274,7 @@ class TestIdentities:
         reports = run_all_verifications()
         assert len(reports) == 9
         for rep in reports:
-            assert rep.passed, rep.render()
+            assert rep.passed, rep.as_dict()
         assert all(rep.tol == IDENTITY_TOL for rep in reports)
 
 
