@@ -6,19 +6,17 @@ Pure Python with no runtime dependency.  The exports load their submodule
 on first access (PEP 562), so a series solve never imports transforms.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # Submodule -> the names it exports, in `__all__` order.
 _MODULE_EXPORTS = {
     "model": ("ModelParams", "REFERENCE_PARAMS"),
-    "special": ("MLParams", "ln_gamma", "mittag_leffler"),
+    "special": ("ln_gamma",),
     "series": ("SeriesSolution", "build_series", "eval_series"),
     "oracles": ("Trajectory", "solve_exact_classical", "solve_abm_fractional"),
     "equilibrium": ("EquilibriumReport", "find_equilibria"),
-    "transforms": ("sumudu_numeric", "sumudu_monomial", "verify_ml_identities",
-                   "verify_derivative_rule", "verify_convolution"),
+    "transforms": ("MLParams", "mittag_leffler", "sumudu_numeric", "sumudu_monomial",
+                   "verify_ml_identities", "verify_derivative_rule", "verify_convolution"),
     "sweep": ("SweepConfig", "SweepGrid", "PRESETS", "run_solve", "run_sweep"),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
@@ -29,6 +27,7 @@ __all__ = list(_EXPORTS)
 def __getattr__(name):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    # __import__ with a fromlist returns the submodule itself; no importlib to load
+    value = getattr(__import__(f"{__name__}.{_EXPORTS[name]}", fromlist=[name]), name)
     globals()[name] = value
     return value

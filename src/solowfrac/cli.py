@@ -1,15 +1,20 @@
 """Command-line frontend: solve, sweep, equilibria, verify, compare.
 
-Exit codes: 0 success, 1 verification/comparison failure, 2 usage or
-validation error.
+The command line is parsed from the settings table below: `--flag value` or
+`--flag=value`, any unique prefix of a flag, the last of repeated flags
+winning, and `-h`/`--help` for the program or a subcommand, generated from
+the same table.
+
+Exit codes: 0 success (and help), 1 verification/comparison failure, 2 usage
+or validation error.  A usage error, an output directory that does not exist
+included, exits 2 before any work, with a message that names the flag.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
-from os.path import normpath
+from os.path import dirname, isdir, normpath
 
 from .model import REFERENCE_PARAMS, ModelParams
 from .series import DEFAULT_ORDER
@@ -27,6 +32,16 @@ COMMAND_KEYS = {
     "verify": MODEL_KEYS,
     "compare": {**MODEL_KEYS, "order": int, "t_max": float, "samples": int, "tol": float},
 }
+# Each subcommand's flags that set no value setting, key -> type; bool is a
+# switch.  `out` and `gnuplot_script` name files to write, `config` one to read.
+OTHER_FLAGS = {
+    "solve": {"config": str, "out": str},
+    "sweep": {"config": str, "out": str, "gnuplot_script": str},
+    "equilibria": {"config": str, "json": bool, "out": str},
+    "verify": {"config": str, "json": bool},
+    "compare": {"config": str},
+}
+FLAG_KINDS = {command: {**keys, **OTHER_FLAGS[command]} for command, keys in COMMAND_KEYS.items()}
 # Each setting that no flag, config line or preset gives.  A sweep's preset,
 # axis and axis range have no default.
 _REFERENCE = REFERENCE_PARAMS.as_dict()
@@ -45,9 +60,24 @@ HELP = {
     "mu": "capital elasticity in (0, 1)",
     "alpha": "fractional order in (0, 1]",
     "k0": "initial capital-labour ratio (> 0)",
-    "order": "series truncation (default {order})",
+    "order": "series truncation",
+    "t_max": "end of the time grid [0, t_max]",
+    "samples": "points on the time grid",
+    "t_count": "points on the time grid",
+    "method": "series, the oracle for alpha (exact at 1, abm below), or both",
+    "preset": "a figure's settings, under every flag and config line",
+    "axis": "the parameter the sweep varies",
+    "axis_min": "first value on the sweep axis",
+    "axis_max": "last value on the sweep axis",
+    "axis_count": "values on the sweep axis",
     "tol": "max allowed relative gap",
+    "config": "flat key=value config file",
+    "out": "file to write the CSV to (default stdout), or equilibria's JSON report",
+    "gnuplot_script": "also write a companion gnuplot script to this path",
+    "json": "print JSON (equilibria: the report; verify: parameters and every row)",
 }
+DESCRIPTION = ("Series and oracle solvers for the classical and Caputo-fractional\n"
+               "Solow-Swan capital accumulation model.")
 SUMMARY = {
     "solve": "single trajectory to CSV",
     "sweep": "parameter sweep grid to CSV",
@@ -80,46 +110,109 @@ def _read_config(path: str, command: str) -> dict:
     return values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="solowfrac",
-        description="Series and oracle solvers for the classical and "
-                    "Caputo-fractional Solow-Swan capital accumulation model.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
-    for command, summary in SUMMARY.items():
-        sp = subparsers[command] = sub.add_parser(command, help=summary)
-        for key, kind in COMMAND_KEYS[command].items():
-            sp.add_argument("--" + key.replace("_", "-"), type=kind, choices=CHOICES.get(key),
-                            help=HELP.get(key, "").format_map(DEFAULTS[command]))
-            if key == "k0":  # --config follows the model flags on every subcommand
-                sp.add_argument("--config", help="flat key=value config file")
-    for command in ("solve", "sweep"):
-        subparsers[command].add_argument("--out", help="output CSV path (default stdout)")
-    subparsers["sweep"].add_argument("--gnuplot-script",
-                                     help="also write a companion gnuplot script to this path")
-    subparsers["equilibria"].add_argument("--json", action="store_true",
-                                          help="print JSON instead of a table")
-    subparsers["equilibria"].add_argument("--out", help="also write the JSON report here")
-    subparsers["verify"].add_argument("--json", action="store_true",
-                                      help="print the parameters and every report's rows as JSON")
-    return parser
+def _is_value(token: str) -> bool:
+    """Whether the token after a flag is its value: one that does not start with
+    `-`, `-` itself, or a negative number as argparse reads one (`-5`, `-.5`)."""
+    if len(token) < 2 or token[0] != "-":
+        return True
+    whole, dot, frac = token[1:].partition(".")
+    return frac.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
 
 
-def _settings(args) -> dict:
+def _flag(token: str, flags: dict, command: str) -> str:
+    """The flag that `token` names, in full or as the unique prefix of a long flag."""
+    if token in flags:
+        return token
+    matches = [flag for flag in flags if token.startswith("--") and flag.startswith(token)]
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous flag {token}: could match {', '.join(matches)}")
+    if not matches:
+        raise ValueError(f"{command}: unrecognized argument {token!r}")
+    return matches[0]
+
+
+def parse_args(argv: list[str]) -> tuple[str | None, dict]:
+    """The subcommand and its flags' values, key -> value, from a command line.
+
+    The last of repeated flags wins.  `-h`/`--help` gives {"help": True}, with
+    the subcommand None for the program's help.  Raises ValueError naming the
+    flag, before any work, for every error, and for an output path whose
+    directory does not exist.
+    """
+    command = argv[0] if argv else ""
+    if command not in SUMMARY:
+        if command == "-h" or len(command) > 2 and "--help".startswith(command):
+            return None, {"help": True}
+        choices = ", ".join(SUMMARY)
+        raise ValueError(f"unknown subcommand {command!r}; choose from {choices}" if argv
+                         else f"missing subcommand; choose from {choices}")
+    kinds = FLAG_KINDS[command]
+    flags = {"-h": "help", "--help": "help", **{"--" + key.replace("_", "-"): key for key in kinds}}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        flag = _flag(name, flags, command)
+        key = flags[flag]
+        kind = kinds.get(key, bool)
+        if kind is bool:  # a switch: --help or --json
+            if eq:
+                raise ValueError(f"{flag} takes no value, got {token!r}")
+            values[key] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                raise ValueError(f"{flag} expects a value")
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"{flag}: invalid {kind.__name__} value {value!r}") from None
+        if key in CHOICES and values[key] not in CHOICES[key]:
+            choices = ", ".join(CHOICES[key])
+            raise ValueError(f"{flag}: invalid choice {value!r}; choose from {choices}")
+    for flag in ("--out", "--gnuplot-script"):
+        path = values.get(flags.get(flag))
+        if path and not isdir(dirname(path) or "."):
+            raise ValueError(f"{flag}: directory of {path!r} does not exist")
+    return command, values
+
+
+def usage(command: str | None) -> str:
+    """The `--help` text of a subcommand, or of the program when `command` is None."""
+    if command is None:
+        lines = ["usage: solowfrac {" + ",".join(SUMMARY) + "} [--flag VALUE ...]", "",
+                 DESCRIPTION, "", "subcommands:",
+                 *(f"  {name:<12s}{summary}" for name, summary in SUMMARY.items()), "",
+                 "`solowfrac COMMAND --help` lists a subcommand's flags.  A flag may be",
+                 "abbreviated to any unique prefix.  Exit status: 0 success, 1 a failed",
+                 "verification or comparison, 2 a usage or validation error."]
+        return "\n".join(lines) + "\n"
+    lines = [f"usage: solowfrac {command} [--flag VALUE ...]", "", SUMMARY[command], "",
+             "flags:", f"  {'-h, --help':<24s}  show this help and exit"]
+    for key, kind in FLAG_KINDS[command].items():
+        flag = "--" + key.replace("_", "-")
+        if kind is not bool:
+            flag += " " + ("{" + ",".join(CHOICES[key]) + "}" if key in CHOICES else key.upper())
+        default = f" (default {DEFAULTS[command][key]})" if key in DEFAULTS[command] else ""
+        lines.append(f"  {flag:<24s}  " if len(flag) <= 24 else f"  {flag}\n{'':28s}")
+        lines[-1] += HELP[key] + default
+    return "\n".join(lines) + "\n"
+
+
+def _settings(command: str, flags: dict) -> dict:
     """Each value setting from its flag, then the config file, then the preset, then the default."""
-    keys = COMMAND_KEYS[args.command]
-    config = _read_config(args.config, args.command) if args.config else {}
-    flags = {key: value for key in keys if (value := getattr(args, key)) is not None}
-    preset = PRESETS.get(flags.get("preset", config.get("preset")))  # sweep refuses unknown names
+    keys = COMMAND_KEYS[command]
+    config = _read_config(flags["config"], command) if flags.get("config") else {}
+    given = {key: value for key, value in flags.items() if key in keys}
+    preset = PRESETS.get(given.get("preset", config.get("preset")))  # sweep refuses unknown names
     fields = {}
     if preset is not None:
         (lo, hi, count), (t_max, t_count) = preset.axis_range, preset.t_range
         fields = {**preset.base.as_dict(), "axis": preset.axis, "axis_min": lo, "axis_max": hi,
                   "axis_count": count, "t_max": t_max, "t_count": t_count,
                   "order": preset.order, "method": preset.method}
-    return {**DEFAULTS[args.command], **fields, **config, **flags}
+    return {**DEFAULTS[command], **fields, **config, **given}
 
 
 def _params(settings: dict) -> ModelParams:
@@ -131,18 +224,19 @@ def _write(path: str, text: str) -> None:
         f.write(text)
 
 
-def _cmd_solve(args, s) -> int:
+def _cmd_solve(flags, s) -> int:
     rows = run_solve(_params(s), s["t_max"], s["samples"], s["method"], s["order"])
     csv_text = rows_to_csv(rows, axis=False)
-    if args.out:
-        _write(args.out, csv_text)
+    if out := flags.get("out"):
+        _write(out, csv_text)
     else:
         sys.stdout.write(csv_text)
     return 0
 
 
-def _cmd_sweep(args, s) -> int:
-    if args.gnuplot_script and not args.out:
+def _cmd_sweep(flags, s) -> int:
+    out, script = flags.get("out"), flags.get("gnuplot_script")
+    if script and not out:
         raise ValueError("--gnuplot-script requires --out: the script plots that CSV file")
     if s.get("preset") not in (None, *PRESETS):
         raise ValueError(f"unknown preset {s['preset']!r}; choose from {sorted(PRESETS)}")
@@ -154,12 +248,12 @@ def _cmd_sweep(args, s) -> int:
                             (s["t_max"], s["t_count"]), s["order"], s["method"])
     grid = run_sweep(sweep_cfg)
     csv_text = rows_to_csv(grid.rows)
-    if args.out:
-        _write(args.out, csv_text)
-        _write(args.out + ".meta.json", sidecar_metadata(grid))
-        if args.gnuplot_script:
+    if out:
+        _write(out, csv_text)
+        _write(out + ".meta.json", sidecar_metadata(grid))
+        if script:
             # the script names the CSV in normal form: `./out//g.csv` as `out/g.csv`
-            _write(args.gnuplot_script, gnuplot_script(normpath(args.out), sweep_cfg))
+            _write(script, gnuplot_script(normpath(out), sweep_cfg))
     else:
         sys.stdout.write(csv_text)
     return 0
@@ -179,7 +273,7 @@ def _render_equilibria_table(report, params) -> str:
     return "\n".join(lines)
 
 
-def _cmd_equilibria(args, s) -> int:
+def _cmd_equilibria(flags, s) -> int:
     import json
 
     from .equilibrium import find_equilibria
@@ -187,18 +281,18 @@ def _cmd_equilibria(args, s) -> int:
     params = _params(s)
     report = find_equilibria(params)
     text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text if args.json else _render_equilibria_table(report, params) + "\n")
-    if args.out:
-        _write(args.out, text)
+    sys.stdout.write(text if flags.get("json") else _render_equilibria_table(report, params) + "\n")
+    if out := flags.get("out"):
+        _write(out, text)
     return 0
 
 
-def _cmd_verify(args, s) -> int:
+def _cmd_verify(flags, s) -> int:
     params = _params(s)
     from .transforms import run_all_verifications
 
     reports = run_all_verifications(params)
-    if args.json:
+    if flags.get("json"):
         import json
 
         passed = all(rep.passed for rep in reports)
@@ -225,7 +319,7 @@ def _cmd_verify(args, s) -> int:
 ORACLE_NAMES = {"exact": "exact-classical", "abm": "abm-fractional"}
 
 
-def _cmd_compare(args, s) -> int:
+def _cmd_compare(flags, s) -> int:
     tol, order = s["tol"], s["order"]
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
@@ -253,9 +347,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, _settings(args))
+        command, flags = parse_args(sys.argv[1:] if argv is None else argv)
+        if flags.get("help"):
+            sys.stdout.write(usage(command))
+            return 0
+        return _COMMANDS[command](flags, _settings(command, flags))
     except (ValueError, ArithmeticError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -23,7 +23,6 @@ size of the last retained term.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from .model import ModelParams, Record
 from .special import ln_gamma
@@ -65,7 +64,7 @@ def check_order(order: int) -> None:
         raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {order}")
 
 
-def miller_step(mu: float, c: Sequence[float], a: Sequence[float]) -> float:
+def miller_step(mu: float, c: list[float], a: list[float]) -> float:
     """The next coefficient a_n, n = len(a) >= 1, of (sum_i c_i x**i)**mu:
 
         a_n = (1 / (n c_0)) * sum_{j=1..n} (j*mu - (n - j)) c_j a_{n-j}.

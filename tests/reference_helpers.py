@@ -1,12 +1,15 @@
 """Functions that only the test suite calls, kept out of the package so that
 no command pays to compile them.  Each is the package's former code, moved
 unchanged: `gamma_ratio` from `special`, `balanced_growth_capital` from
-`equilibrium` and `parse_csv` from `sweep`.
+`equilibrium`, `parse_csv` from `sweep` and `build_parser`, the argparse
+parser that `cli.parse_args` replaced, from `cli`.
 """
 
+import argparse
 import math
 import warnings
 
+from solowfrac.cli import CHOICES, COMMAND_KEYS, DEFAULTS, HELP, SUMMARY
 from solowfrac.model import ModelParams
 from solowfrac.oracles import exact_classical_value
 from solowfrac.special import ln_gamma
@@ -53,3 +56,32 @@ def parse_csv(text: str) -> tuple[str, list[Row]]:
         t, axis, k, trusted, method = line.split(",")
         rows.append((float(t), float(axis), float(k), trusted == "true", method))
     return header, rows
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser, generated from `cli`'s settings table: the
+    reference that `cli.parse_args` is tested against."""
+    parser = argparse.ArgumentParser(
+        prog="solowfrac",
+        description="Series and oracle solvers for the classical and "
+                    "Caputo-fractional Solow-Swan capital accumulation model.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
+    for command, summary in SUMMARY.items():
+        sp = subparsers[command] = sub.add_parser(command, help=summary)
+        for key, kind in COMMAND_KEYS[command].items():
+            sp.add_argument("--" + key.replace("_", "-"), type=kind, choices=CHOICES.get(key),
+                            help=HELP.get(key, "").format_map(DEFAULTS[command]))
+            if key == "k0":  # --config follows the model flags on every subcommand
+                sp.add_argument("--config", help="flat key=value config file")
+    for command in ("solve", "sweep"):
+        subparsers[command].add_argument("--out", help="output CSV path (default stdout)")
+    subparsers["sweep"].add_argument("--gnuplot-script",
+                                     help="also write a companion gnuplot script to this path")
+    subparsers["equilibria"].add_argument("--json", action="store_true",
+                                          help="print JSON instead of a table")
+    subparsers["equilibria"].add_argument("--out", help="also write the JSON report here")
+    subparsers["verify"].add_argument("--json", action="store_true",
+                                      help="print the parameters and every report's rows as JSON")
+    return parser

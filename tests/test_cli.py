@@ -1,14 +1,18 @@
 """End-to-end CLI tests: subcommands, config files, exit codes, artifacts."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from reference_helpers import parse_csv
-from solowfrac.cli import COMMAND_KEYS, main
+from reference_helpers import build_parser, parse_csv
+from solowfrac.cli import CHOICES, COMMAND_KEYS, FLAG_KINDS, SUMMARY, main, parse_args
 from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.sweep import CSV_HEADER, PRESETS, SweepConfig
 from solowfrac.transforms import VerificationReport, run_all_verifications
@@ -522,3 +526,175 @@ class TestCompare:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+class TestOutputPaths:
+    """An output whose directory does not exist is refused before any work."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--preset", "fig-ktq", "--out", "{missing}/x.csv"], "--out"),
+        (["equilibria", "--out", "{missing}/r.json"], "--out"),
+        (["solve", "--out", "{missing}/s.csv"], "--out"),
+        (["sweep", "--preset", "fig-ktq", "--out", "{tmp}/ok.csv",
+          "--gnuplot-script", "{missing}/g.gp"], "--gnuplot-script"),
+    ])
+    def test_missing_directory_exits_2_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                           argv, flag):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("run_sweep", "run_solve"):
+            monkeypatch.setattr(f"solowfrac.cli.{name}", no_work)
+        monkeypatch.setattr("solowfrac.equilibrium.find_equilibria", no_work)
+        missing = tmp_path / "missing"
+        argv = [arg.format(missing=missing, tmp=tmp_path) for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        path = argv[argv.index(flag) + 1]
+        assert err == f"error: {flag}: directory of {path!r} does not exist\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestTinyAlpha:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--method", "abm", "--alpha", "1e-300", "--samples", "3"],
+        ["compare", "--alpha", "1e-300"],
+    ])
+    def test_alpha_near_zero_runs(self, capsys, argv):
+        # ln_gamma(alpha) divided by zero for alpha below ~1.1e-16
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert err == ""
+
+
+ALL_FLAGS = sorted({"--" + key.replace("_", "-") for kinds in FLAG_KINDS.values() for key in kinds})
+# Values each kind takes, among them negative numbers argparse reads as values.
+GOOD = {float: ["0.5", "2", "1e-3", "nan", "inf", "-5", "-.5", " 7 ", "1_000"],
+        int: ["3", "65", "0", "-5", " 7 ", "1_000"], str: ["o.csv", "", "-", "-5", "x y"]}
+# Values of every kind, valid or not: among them negative numbers argparse refuses
+# (-1e-3, -5.), choices, and flags in value position.
+ANY_VALUES = ["0.5", "2", "abc", "2.5", "", "-", "-5", "-.5", "-2.5", "-1e-3", "-5.", "-inf", "-x",
+          "--p", "--t", "-h", "series", "abm", "alpha", "fig-ktq", "fig", "o.csv"]
+HELP_TOKENS = ["-h", "--help", "--he"]
+
+
+@st.composite
+def command_lines(draw):
+    """Command lines near valid ones: flags of the subcommand with values of their
+    kind, unknown flags, prefixes, the = form, missing and stray values, help."""
+    command = draw(st.sampled_from([*SUMMARY, *SUMMARY, "bogus", "solv", "-h", "--he", "--p"]))
+    argv = [] if draw(st.integers(0, 15)) == 0 else [command]
+    kinds = FLAG_KINDS.get(command, {})
+    for _ in range(draw(st.integers(0, 5))):
+        if kinds and draw(st.integers(0, 2)):  # a flag of this subcommand and a value of its kind
+            key = draw(st.sampled_from(sorted(kinds)))
+            flag = "--" + key.replace("_", "-")
+            value = draw(st.sampled_from(CHOICES.get(key) or GOOD.get(kinds[key], [""])))
+            forms = [[flag], [flag]] if kinds[key] is bool else [[flag, value], [f"{flag}={value}"]]
+        else:
+            flag = draw(st.sampled_from(ALL_FLAGS + ["--bogus", "--", "-x"]))
+            value = draw(st.sampled_from(ANY_VALUES))
+            forms = [[flag, value], [f"{flag}={value}"], [flag], [value],
+                     [draw(st.sampled_from(HELP_TOKENS + ["-hx", "--help=1"]))]]
+        if draw(st.integers(0, 3)) == 0:  # a prefix, unique or not
+            cut = draw(st.integers(3, max(3, len(flag))))
+            forms = [[part[:cut] if part == flag else part.replace(flag, flag[:cut], 1)
+                      for part in form] for form in forms]
+        argv += draw(st.sampled_from(forms))
+    return argv
+
+
+def reference_parse(argv):
+    """argparse's reading of a command line: its settings, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            namespace = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code
+    values = {key: value for key, value in vars(namespace).items()
+              if key != "command" and value is not None and value is not False}
+    return namespace.command, values
+
+
+def readable(parsed):
+    command, values = parsed
+    return command, {key: repr(value) for key, value in values.items()}  # repr: nan == nan
+
+
+class TestParser:
+    """`cli.parse_args` against the argparse parser it replaced (`build_parser`)."""
+
+    @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command_lines())
+    def test_same_settings_or_usage_error_as_argparse(self, argv):
+        expected = reference_parse(argv)
+        if expected == 2:
+            with pytest.raises(ValueError):
+                parse_args(argv)
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(argv) == 2
+            assert err.getvalue().startswith("error: ")
+            return
+        try:
+            command, values = parse_args(argv)
+        except ValueError:
+            # Deliberate difference: help is shown only for a line that parses
+            # without it; argparse stopped at the first -h.
+            assert expected == 0
+            with pytest.raises(ValueError):
+                parse_args([arg for arg in argv if arg not in HELP_TOKENS])
+            return
+        if values.get("help"):
+            assert expected == 0
+        else:
+            assert readable((command, values)) == readable(expected)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["sweep", "--axis", "q", "--axis-c", "3", "--axis-min=0.1", "--axis-max", "0.4"],
+         ("sweep", {"axis": "q", "axis_count": 3, "axis_min": 0.1, "axis_max": 0.4})),
+        (["solve", "--p", "-5", "--q=-.5", "--p", "0.7", "--meth", "both"],
+         ("solve", {"p": 0.7, "q": -0.5, "method": "both"})),
+        (["equilibria", "--j", "--json", "--o", "r.json"],
+         ("equilibria", {"json": True, "out": "r.json"})),
+        (["verify", "-h"], ("verify", {"help": True})),
+        (["--he"], (None, {"help": True})),
+    ])
+    def test_examples(self, argv, expected):
+        assert parse_args(argv) == expected
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "missing subcommand; choose from solve, sweep, equilibria, verify, compare"),
+        (["solv"], "unknown subcommand 'solv'; choose from solve, sweep, equilibria, verify, "
+                   "compare"),
+        (["sweep", "--t", "1"], "ambiguous flag --t: could match --t-max, --t-count"),
+        (["solve", "--bogus", "1"], "solve: unrecognized argument '--bogus'"),
+        (["solve", "--p"], "--p expects a value"),
+        (["solve", "--p", "-1e-3"], "--p expects a value"),
+        (["solve", "--samples", "2.5"], "--samples: invalid int value '2.5'"),
+        (["solve", "--meth", "x"], "--method: invalid choice 'x'; choose from series, abm, "
+                                   "exact, both"),
+        (["verify", "--json=1"], "--json takes no value, got '--json=1'"),
+        (["compare", "0.5"], "compare: unrecognized argument '0.5'"),
+    ])
+    def test_usage_error_names_the_flag(self, capsys, argv, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            parse_args(argv)
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", SUMMARY)
+    def test_help_lists_every_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        listed = {word.rstrip(",") for line in out.splitlines() for word in line.split()[:2]}
+        subparser = build_parser()._subparsers._group_actions[0].choices[command]
+        flags = {"--" + key.replace("_", "-") for key in FLAG_KINDS[command]}
+        assert flags == set(subparser._option_string_actions) - {"-h", "--help"}
+        assert flags | {"-h", "--help"} <= listed
+        assert run_cli(capsys, command, "-h") == (0, out, "")
+
+    def test_program_help(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert (code, err) == (0, "")
+        assert all(command in out for command in SUMMARY)
+        assert run_cli(capsys, "-h") == (0, out, "")

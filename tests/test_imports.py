@@ -1,5 +1,6 @@
 """Import cost: no command loads numpy or mpmath, which only the tests use,
-nor `dataclasses` and `inspect`; `json` loads only for the commands that
+nor `dataclasses`, `inspect` or `argparse` (with its `gettext` and `locale`),
+and only `verify` loads `cmath`; `json` loads only for the commands that
 write JSON; each command loads only the package modules it runs.
 
 Each check runs in a fresh interpreter, because this test process has
@@ -32,8 +33,9 @@ GUARDED = [
 PROGRAM = """
 import contextlib, io, json, sys
 
-def heavy():
-    return sorted(m for m in ("numpy", "mpmath", "dataclasses", "inspect") if m in sys.modules)
+def heavy(allowed=()):
+    return sorted(m for m in ("numpy", "mpmath", "dataclasses", "inspect", "argparse", "gettext",
+                              "locale", "cmath") if m in sys.modules and m not in allowed)
 
 import solowfrac.cli
 report = {"import": heavy(), "commands": []}
@@ -45,30 +47,31 @@ report["verify"] = []
 for alpha in (None, "0.05", "0.95"):
     argv = ["verify"] + (["--alpha", alpha] if alpha else [])
     with contextlib.redirect_stdout(io.StringIO()):
-        report["verify"].append([argv, solowfrac.cli.main(argv), heavy()])
+        report["verify"].append([argv, solowfrac.cli.main(argv), heavy(allowed=("cmath",))])
 print(json.dumps(report))
 """
 
 
-def run_fresh(program, *args):
+def run_fresh(program, *args, options=()):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", program, *args], env=env,
+    proc = subprocess.run([sys.executable, *options, "-c", program, *args], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return proc.stdout
 
 
 def test_no_command_loads_numpy_or_mpmath():
     # verify's quadrature is pure Python too.  dataclasses and inspect,
-    # ~10 ms of start-up, stay off every command's path as well.
-    report = json.loads(run_fresh(PROGRAM, json.dumps(GUARDED)))
-    assert report["import"] == []
-    for argv, code, heavy in report["commands"]:
-        assert code == 0, argv
-        assert heavy == [], argv
-    for argv, code, heavy in report["verify"]:
-        assert code == 0, argv
-        assert heavy == [], argv
+    # ~10 ms of start-up, and argparse, ~3 ms with gettext and locale, stay
+    # off every command's path as well; only verify compiles the
+    # Mittag-Leffler code and its cmath.  -S skips `site`, whose start-up
+    # hooks may load some of these modules on their own.
+    for options in ((), ("-S",)):
+        report = json.loads(run_fresh(PROGRAM, json.dumps(GUARDED), options=options))
+        assert report["import"] == [], options
+        for argv, code, heavy in report["commands"] + report["verify"]:
+            assert code == 0, (argv, options)
+            assert heavy == [], (argv, options)
 
 
 def test_every_export_resolves_as_attribute():

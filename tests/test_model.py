@@ -41,9 +41,8 @@ def _record_factories():
     from solowfrac.equilibrium import find_equilibria
     from solowfrac.oracles import solve_exact_classical
     from solowfrac.series import build_series
-    from solowfrac.special import MLParams
     from solowfrac.sweep import PRESETS, SweepGrid
-    from solowfrac.transforms import VerificationReport
+    from solowfrac.transforms import MLParams, VerificationReport
 
     return {
         "ModelParams": lambda: ModelParams(p=0.5, q=0.2, mu=1.0 / 3.0),

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reference_helpers import gamma_ratio
-from solowfrac.special import MLParams, ln_gamma, mittag_leffler
-from solowfrac.special import (
+from solowfrac.special import ln_gamma
+from solowfrac.transforms import MLParams, mittag_leffler
+from solowfrac.transforms import (
     _ML_CONTOUR,
     _ML_TABLE_ALPHAS,
     _ml_contour,
@@ -143,6 +144,11 @@ class TestLnGamma:
     def test_relative_error_against_stdlib(self, x):
         # math.lgamma is an independent high-quality reference
         assert abs(ln_gamma(x) - math.lgamma(x)) <= 1e-12 * max(1.0, abs(math.lgamma(x)))
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-10, 1e-5, 9.99e-4, 5e-324])
+    def test_below_the_lanczos_range(self, x):
+        # x - 1.0 + 1 is 0.0 below ~1.1e-16, so the Lanczos sum divided by zero
+        assert abs(ln_gamma(x) - math.lgamma(x)) <= 1e-12 * abs(math.lgamma(x))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

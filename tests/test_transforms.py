@@ -7,16 +7,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import solowfrac.special
 import solowfrac.transforms
 from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.oracles import _leggauss, exact_classical_value
-from solowfrac.special import MLParams, _ml_eval
 from solowfrac.transforms import (
     IDENTITY_TOL,
+    MLParams,
     QUAD_NODES,
     _convolve,
     _de_nodes,
+    _ml_eval,
     VerificationReport,
     run_all_verifications,
     sumudu_monomial,
@@ -305,10 +305,10 @@ class TestVerifyShape:
     """What one cold `verify` run at alpha = 0.8 builds and calls."""
 
     def test_one_record_per_ml_report_and_bounded_ln_gamma(self, monkeypatch):
-        for cache in (solowfrac.special._ml_contour_table, solowfrac.special._ml_taylor_table):
+        for cache in (solowfrac.transforms._ml_contour_table, solowfrac.transforms._ml_taylor_table):
             cache.cache_clear()
         calls = {"MLParams": 0, "ln_gamma": 0}
-        validate, ln_gamma = MLParams._validate, solowfrac.special.ln_gamma
+        validate, ln_gamma = MLParams._validate, solowfrac.transforms.ln_gamma
 
         def counting_validate(self):
             calls["MLParams"] += 1
@@ -319,8 +319,7 @@ class TestVerifyShape:
             return ln_gamma(x)
 
         monkeypatch.setattr(MLParams, "_validate", counting_validate)
-        for module in (solowfrac.special, solowfrac.transforms):
-            monkeypatch.setattr(module, "ln_gamma", counting_ln_gamma)
+        monkeypatch.setattr(solowfrac.transforms, "ln_gamma", counting_ln_gamma)
         reports = run_all_verifications(REFERENCE_PARAMS.with_(alpha=0.8))
         ml_reports = [rep for rep in reports if rep.name.startswith("mittag-leffler")]
         assert len(ml_reports) == 3
@@ -337,8 +336,7 @@ class TestVerifyShape:
             calls.append(z)
             return _ml_eval(alpha, z)
 
-        for module in (solowfrac.special, solowfrac.transforms):
-            monkeypatch.setattr(module, "_ml_eval", counting_ml_eval)
+        monkeypatch.setattr(solowfrac.transforms, "_ml_eval", counting_ml_eval)
         run_all_verifications(REFERENCE_PARAMS.with_(alpha=0.8))
         # 3 reports x 3 u values x 401 nodes; identity (ii) reuses (i)'s values
         assert len(calls) == 3 * 3 * QUAD_NODES == 3609
