@@ -6,8 +6,8 @@ winning, and `-h`/`--help` for the program or a subcommand, generated from
 the same table.
 
 Exit codes: 0 success (and help), 1 verification/comparison failure, 2 usage
-or validation error.  A usage error, an output directory that does not exist
-included, exits 2 before any work, with a message that names the flag.
+or validation error.  A usage error, an output path in a directory that does
+not exist included, exits 2 before any work, with a message that names the flag.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
 
     The last of repeated flags wins.  `-h`/`--help` gives {"help": True}, with
     the subcommand None for the program's help.  Raises ValueError naming the
-    flag, before any work, for every error, and for an output path whose
-    directory does not exist.
+    flag, before any work, for every error, and for an output path that is a
+    directory or whose directory does not exist.
     """
     command = argv[0] if argv else ""
     if command not in SUMMARY:
@@ -173,6 +173,8 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
             raise ValueError(f"{flag}: invalid choice {value!r}; choose from {choices}")
     for flag in ("--out", "--gnuplot-script"):
         path = values.get(flags.get(flag))
+        if path and isdir(path):
+            raise ValueError(f"{flag}: {path!r} is a directory")
         if path and not isdir(dirname(path) or "."):
             raise ValueError(f"{flag}: directory of {path!r} does not exist")
     return command, values

@@ -14,8 +14,8 @@ import math
 
 __all__ = ["ln_gamma"]
 
-# Lanczos approximation, g = 7, 9 terms.  Relative accuracy is a few ulp for
-# real x > 0, comfortably within the 1e-12 budget on [1e-3, 1e4].
+# Lanczos approximation, g = 7, 9 terms.  Relative accuracy is a few ulp,
+# comfortably within the 1e-12 budget on [1e-3, 1e4].
 _LANCZOS_G = 7.0
 _LANCZOS_COEFS = (
     0.99999999999980993,
@@ -35,7 +35,8 @@ _LN_GAMMA_SHIFT_BELOW = 1e-3
 
 
 def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0 (Lanczos, g=7, 9 terms)."""
+    """Natural log of the gamma function for x > 0 (Lanczos, g=7, 9 terms;
+    ln Gamma(x + 1) - ln x below 1e-3)."""
     if not x > 0:
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
     if x < _LN_GAMMA_SHIFT_BELOW:

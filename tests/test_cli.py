@@ -529,7 +529,8 @@ class TestCompare:
 
 
 class TestOutputPaths:
-    """An output whose directory does not exist is refused before any work."""
+    """An output path that is a directory, or whose directory does not exist,
+    is refused before any work."""
 
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "--preset", "fig-ktq", "--out", "{missing}/x.csv"], "--out"),
@@ -537,9 +538,12 @@ class TestOutputPaths:
         (["solve", "--out", "{missing}/s.csv"], "--out"),
         (["sweep", "--preset", "fig-ktq", "--out", "{tmp}/ok.csv",
           "--gnuplot-script", "{missing}/g.gp"], "--gnuplot-script"),
+        (["sweep", "--preset", "fig-ktq", "--out", "{tmp}/ok.csv",
+          "--gnuplot-script", "{tmp}"], "--gnuplot-script"),
+        (["equilibria", "--out", "{tmp}"], "--out"),
     ])
-    def test_missing_directory_exits_2_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
-                                                           argv, flag):
+    def test_unwritable_path_exits_2_and_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                         argv, flag):
         def no_work(*args, **kwargs):
             raise AssertionError("the command ran")
 
@@ -552,7 +556,8 @@ class TestOutputPaths:
         assert code == 2
         assert out == ""
         path = argv[argv.index(flag) + 1]
-        assert err == f"error: {flag}: directory of {path!r} does not exist\n"
+        problem = "is a directory" if path == str(tmp_path) else "does not exist"
+        assert err.startswith(f"error: {flag}: ") and repr(path) in err and problem in err
         assert list(tmp_path.iterdir()) == []
 
 
