@@ -305,8 +305,8 @@ class TestVerifyShape:
     """What one cold `verify` run at alpha = 0.8 builds and calls."""
 
     def test_one_record_per_ml_report_and_bounded_ln_gamma(self, monkeypatch):
-        for cache in (solowfrac.transforms._ml_contour_table, solowfrac.transforms._ml_taylor_table):
-            cache.cache_clear()
+        solowfrac.transforms._ml_contour_table.cache_clear()
+        solowfrac.transforms._ml_taylor_table.cache_clear()
         calls = {"MLParams": 0, "ln_gamma": 0}
         validate, ln_gamma = MLParams._validate, solowfrac.transforms.ln_gamma
 
