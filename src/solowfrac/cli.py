@@ -6,8 +6,9 @@ winning, and `-h`/`--help` for the program or a subcommand, generated from
 the same table.
 
 Exit codes: 0 success (and help), 1 verification/comparison failure, 2 usage
-or validation error.  A usage error, an output path in a directory that does
-not exist included, exits 2 before any work, with a message that names the flag.
+or validation error.  A usage error, an empty path or an output path in a
+directory that does not exist included, exits 2 before any work, with a message
+that names the flag.
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
 
     The last of repeated flags wins.  `-h`/`--help` gives {"help": True}, with
     the subcommand None for the program's help.  Raises ValueError naming the
-    flag, before any work, for every error, and for an output path that is a
-    directory or whose directory does not exist.
+    flag, before any work, for every error, for an empty path, and for an
+    output path that is a directory or whose directory does not exist.
     """
     command = argv[0] if argv else ""
     if command not in SUMMARY:
@@ -171,6 +172,9 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
         if key in CHOICES and values[key] not in CHOICES[key]:
             choices = ", ".join(CHOICES[key])
             raise ValueError(f"{flag}: invalid choice {value!r}; choose from {choices}")
+    for flag in ("--config", "--out", "--gnuplot-script"):
+        if values.get(flags.get(flag)) == "":
+            raise ValueError(f"{flag}: empty path")
     for flag in ("--out", "--gnuplot-script"):
         path = values.get(flags.get(flag))
         if path and isdir(path):

@@ -28,16 +28,16 @@ def find_equilibria(params: ModelParams) -> EquilibriumReport:
 
     The sign of d/dk [p*k**mu - q*k] at the fixed point decides: positive
     means unstable, negative asymptotically stable.  At k_star the derivative
-    equals q*(mu - 1) < 0.  At k = 0 the derivative diverges to +inf for
-    mu < 1 (any small positive perturbation grows), hence unstable.
+    equals q*(mu - 1) < 0, taken in that form, so it stays finite where k_star
+    underflows to 0.  At k = 0 the derivative diverges to +inf for mu < 1 (any
+    small positive perturbation grows), hence unstable.
     """
     k_star = params.k_star
-    deriv = params.rhs_derivative(k_star)
     return EquilibriumReport(
         k_zero_stability=UNSTABLE,
         k_star=k_star,
-        k_star_stability=STABLE if deriv < 0 else UNSTABLE,
-        derivative_at_star=deriv,
+        k_star_stability=STABLE,
+        derivative_at_star=params.q * (params.mu - 1.0),
         inflection_candidate=(params.p * params.mu / params.q) ** (1.0 / (1.0 - params.mu)),
     )
 

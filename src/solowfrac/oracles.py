@@ -72,14 +72,14 @@ class Trajectory(Record):
 def exact_classical_value(params: ModelParams, t: float) -> float:
     """Closed-form k(t) for alpha = 1.
 
-    k(t) = [p/q + (k0**(1-mu) - p/q) * exp(-q*(1-mu)*t)]**(1/(1-mu)).
-
-    Verified against an adaptive ODE integrator in the test suite before
-    anything else relies on it.  OverflowError past double range.
+    k(t) = v**(1/(1-mu)) with v = v0 + (p/q - v0) * (1 - exp(-q*(1-mu)*t))
+    and v0 = k0**(1-mu).  1 - exp(-x) is -expm1(-x), so a small q*(1-mu)*t
+    does not cancel.  Verified against an adaptive ODE integrator in the test
+    suite before anything else relies on it.  OverflowError past double range.
     """
     one_minus_mu = 1.0 - params.mu
-    ratio = params.p / params.q
-    v = ratio + (params.k0 ** one_minus_mu - ratio) * math.exp(-params.q * one_minus_mu * t)
+    v0 = params.k0 ** one_minus_mu
+    v = v0 + (params.p / params.q - v0) * -math.expm1(-params.q * one_minus_mu * t)
     try:
         k = v ** (1.0 / one_minus_mu)
     except OverflowError:

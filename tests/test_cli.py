@@ -420,6 +420,15 @@ class TestEquilibria:
         data = json.loads(out)
         assert data["k_star"] == pytest.approx(2.5 ** 1.5, rel=1e-12)
 
+    def test_underflowing_k_star_reports(self, capsys):
+        # exited 2 with "0.0 cannot be raised to a negative power"
+        code, out, err = run_cli(capsys, "equilibria", "--p", "1e8", "--q", "1e300",
+                                 "--mu", "0.99", "--json")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["k_star"] == 0.0
+        assert data["derivative_at_star"] == 1e300 * (0.99 - 1.0)
+
     def test_json_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "eq.json"
         code, _, _ = run_cli(capsys, "equilibria", "--out", str(out_path))
@@ -487,6 +496,13 @@ class TestCompare:
         )
         assert code == 0
         assert "abm-fractional" in out
+
+    def test_small_rate_oracle_is_not_zero(self, capsys):
+        # the exact oracle cancelled to 0.0 here: "float division by zero", exit 2
+        code, out, err = run_cli(capsys, "compare", "--alpha", "1", "--p", "1", "--q", "1e-200",
+                                 "--mu", "0.01", "--k0", "1e8")
+        assert (code, err) == (0, "")
+        assert "21/21 trusted points" in out
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--t-max", "2.0", "--tol", "1e-16")
@@ -561,6 +577,26 @@ class TestOutputPaths:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestEmptyPaths:
+    """An empty path is refused before any work, with the flag named; it was
+    read as no path (the CSV went to stdout, no config file was read)."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--samples", "2", "--out", ""], "--out"),
+        (["solve", "--samples", "2", "--out="], "--out"),
+        (["solve", "--samples", "2", "--config", ""], "--config"),
+        (["equilibria", "--out", ""], "--out"),
+        (["verify", "--config="], "--config"),
+        (["sweep", "--preset", "fig-ktq", "--out", "", "--gnuplot-script", "g.gp"], "--out"),
+        (["sweep", "--preset", "fig-ktq", "--out", "{tmp}/g.csv", "--gnuplot-script", ""],
+         "--gnuplot-script"),
+    ])
+    def test_empty_path_exits_2_and_writes_nothing(self, capsys, tmp_path, argv, flag):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {flag}: empty path\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTinyAlpha:
     @pytest.mark.parametrize("argv", [
         ["solve", "--method", "abm", "--alpha", "1e-300", "--samples", "3"],
@@ -582,6 +618,7 @@ GOOD = {float: ["0.5", "2", "1e-3", "nan", "inf", "-5", "-.5", " 7 ", "1_000"],
 ANY_VALUES = ["0.5", "2", "abc", "2.5", "", "-", "-5", "-.5", "-2.5", "-1e-3", "-5.", "-inf", "-x",
           "--p", "--t", "-h", "series", "abm", "alpha", "fig-ktq", "fig", "o.csv"]
 HELP_TOKENS = ["-h", "--help", "--he"]
+PATH_KEYS = ["config", "out", "gnuplot_script"]
 
 
 @st.composite
@@ -640,6 +677,11 @@ class TestParser:
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 assert main(argv) == 2
             assert err.getvalue().startswith("error: ")
+            return
+        if expected != 0 and "" in map(expected[1].get, PATH_KEYS):
+            # Deliberate difference: an empty path is refused; argparse took it.
+            with pytest.raises(ValueError, match=r"^--[a-z-]+: empty path$"):
+                parse_args(argv)
             return
         try:
             command, values = parse_args(argv)

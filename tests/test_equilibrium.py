@@ -35,6 +35,14 @@ class TestFindEquilibria:
         )
         assert report.derivative_at_star < 0
 
+    def test_derivative_at_star_when_k_star_underflows(self):
+        # k_star = (1e-292)**100 is 0.0; rhs_derivative(0.0) raised ZeroDivisionError
+        params = ModelParams(p=1e8, q=1e300, mu=0.99)
+        report = find_equilibria(params)
+        assert report.k_star == 0.0
+        assert report.derivative_at_star == params.q * (params.mu - 1.0)
+        assert report.k_star_stability == STABLE
+
     def test_inflection_candidate_below_equilibrium(self):
         params = REFERENCE_PARAMS
         report = find_equilibria(params)

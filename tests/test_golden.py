@@ -30,7 +30,7 @@ GOLDEN = {
     "sweep fig-ktmu series meta":
         "cec0e74e24c6e6b676d47032153e3842e0c0bb88325abf51207b3af43f268b6e",
     "sweep fig-ktmu both csv":
-        "9d2da0636585bfbfeb375a9a9057e93d28cfda2e23664f2e52e2c7100db1de7a",
+        "ed7d7c901edc3529385033f92b8647291383b8411f984ed07ae790e3534e290b",
     "sweep fig-ktmu both meta":
         "57a6e5e35c88c988c24e132c321ae9d321d3dc53c80fbdf8bd682be7804875fe",
     "sweep fig-ktp series csv":
@@ -38,7 +38,7 @@ GOLDEN = {
     "sweep fig-ktp series meta":
         "48166063d0469f674a91f6491f9cb2ccd79c4cd9a1d8c983fde636c2bd27dc1b",
     "sweep fig-ktp both csv":
-        "77a1712df741d89d386f3118c3a01c2115b61332e674faa1d42e3e36602f1f06",
+        "ddaeddb6e413b10d206eae258ad874794517bf91a80c270f7fea1f5401bb8dbb",
     "sweep fig-ktp both meta":
         "ba1601615f472d2293a09d92ca5ad9c2c9869b552928c50489f6d09abcd67083",
     "sweep fig-ktq series csv":
@@ -46,7 +46,7 @@ GOLDEN = {
     "sweep fig-ktq series meta":
         "b5d52eb3ee8161210cfc964f7393b8a60a8b99c592ce42154f52dc743bdd2508",
     "sweep fig-ktq both csv":
-        "be513250c498053831f5a29bc6eda0a35163c04030b2af1f3f4c8f566785612a",
+        "0ffeb7b7a549cea146a38b3ae64c0e52ed9e0e9698d4fb604e580f3a0ba2c382",
     "sweep fig-ktq both meta":
         "6b5f11e989b902870e7f452c9ce9f0a78fbdc77bdc286686ee770025d87b34e4",
     "sweep fig-ktq-frac series csv":
@@ -68,11 +68,11 @@ GOLDEN = {
     "solve alpha=1 series":
         "8f46f9d47c9b2cb832e556e259052b8f8a9b2c77652e81bf0535f8640e3c78c5",
     "solve alpha=1 exact":
-        "9257721eec8e2785e95178c826339f146be1b8dd0ab5230ed7582bf4ed2585cf",
+        "161cb3d85090e47f88a1ffdbb7812b402532105f8a587d883afa5e3e220d3715",
     "solve alpha=1 abm":
         "6d42c7ccf1a5858169b8e4f261ad9217e3b1b5bb2306818247985bfce8a6f20f",
     "solve alpha=1 both":
-        "bd6e8b6d5607bd81f5a4ba371640a2a577f2d24e9e7c8ef7b3d9550de1e904a1",
+        "5f90c86707895bc55dd2ae6aa58eee63a1252fce6a79a7d96d17a2cb55014bd4",
     "solve alpha=0.8 series":
         "e99b1857b096cb8b9ae81d32d746fb35215a327cd01727ba5c32575883d9f1a4",
     "solve alpha=0.8 abm":
@@ -84,7 +84,7 @@ GOLDEN = {
     "compare alpha=0.8":
         "df445a3cd81a056cccd0fc070b1ed2c60ad88cf712b0946babcf112e9fefae30",
     "verify":
-        "a9941c894e1cb9264a345414faba84d1366db2cdc8e5673b24d9a5fad6940131",
+        "b7a801000d1e66efae71afa016b86358148cf0bbec3e572e42c7e68bbd2164e9",
 }
 
 

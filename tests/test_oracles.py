@@ -111,6 +111,23 @@ class TestExactClassical:
                 sol.sol(t)[0], rel=1e-8
             )
 
+    @pytest.mark.parametrize("p, q, mu, k0, t, bound", [
+        (1.0, 1e-4, 0.3, 1.0, 0.01, 2.4e-16),  # e^(-lambda t) form: 1.6e-12 off
+        (1.0, 1e-8, 0.3, 1.0, 1.0, 2.4e-16),  # 2.1e-9 off
+        (1.0, 1e-12, 0.5, 1.0, 1.0, 2.4e-16),  # 8.3e-13 off
+        (1.0, 1e-300, 0.3, 1.0, 1.0, 2.4e-16),  # 0.0
+        # 0.0 before; ln k0 = 18 carries the rounding of 1 - mu and 1/(1 - mu)
+        (0.5, 1e-300, 0.01, 1e8, 2.0, 2e-15),
+    ])
+    def test_small_rate_does_not_cancel(self, p, q, mu, k0, t, bound):
+        got = exact_classical_value(ModelParams(p=p, q=q, mu=mu, alpha=1.0, k0=k0), t)
+        # the textbook form at 400 digits keeps 50 after p/q + (a - p/q) cancels
+        with mp.workdps(400):
+            p, q, mu, k0, t = map(mp.mpf, (p, q, mu, k0, t))
+            v = p / q + (k0 ** (1 - mu) - p / q) * mp.exp(-q * (1 - mu) * t)
+            want = v ** (1 / (1 - mu))
+            assert abs(got - want) / want <= bound
+
     def test_rejects_fractional_order(self):
         with pytest.raises(ValueError):
             solve_exact_classical(REFERENCE_PARAMS.with_(alpha=0.8), [0.0, 1.0])

@@ -127,7 +127,7 @@ class TestSumuduNumeric:
     def test_one_evaluation_per_node(self):
         points = []
         sumudu_numeric(lambda t: points.append(t) or 1.0, 0.5)
-        assert len(points) == QUAD_NODES == 401
+        assert len(points) == QUAD_NODES == 201
 
     def test_every_second_node_is_the_coarse_rule(self):
         fine_t, fine_w = _de_nodes(QUAD_NODES)
@@ -278,6 +278,46 @@ class TestIdentities:
         assert all(rep.tol == IDENTITY_TOL for rep in reports)
 
 
+# Orders across (0, 1], the small ones where E_alpha's contour is hardest.
+ALPHAS = (1e-4, 1e-3, 0.01, 0.05, *(i / 20 for i in range(2, 21)))
+
+
+class TestRuleAccuracy:
+    """The double-exponential rule against closed forms, at QUAD_NODES and at its
+    every-second-node sub-rule.  The sub-rule passing too is what shows that
+    QUAD_NODES resolves these integrands."""
+
+    @pytest.fixture(params=[QUAD_NODES, (QUAD_NODES + 1) // 2], ids=["rule", "sub-rule"])
+    def nodes(self, request, monkeypatch):
+        monkeypatch.setattr(solowfrac.transforms, "QUAD_NODES", request.param)
+
+    # The refinement warning is absolute: S[t**24](0.5) is 3.7e16.
+    @pytest.mark.filterwarnings("ignore:transform quadrature refinements disagree")
+    def test_monomials_match_50_digits(self, nodes):
+        worst = 0.0
+        with mp.workdps(50):
+            for g in (0.0, 0.05, 0.5, 1.0, 1.6, 2.0, 3.0, 8.0, 16.0, 24.0):
+                for u in (0.1, 0.5, 1.0):
+                    want = mp.gamma(g + 1) * mp.mpf(u) ** g
+                    got = sumudu_numeric(lambda t: t ** g, u)
+                    worst = max(worst, float(abs((got - want) / want)))
+        assert worst <= 4e-15  # measured 7.8e-16 at 201 nodes, 9.5e-16 at 101
+
+    @pytest.mark.filterwarnings("error")
+    def test_ml_pair_within_the_contour_error(self, nodes):
+        # absolute, as E_alpha's contour error (3e-13) is; measured 1.5e-13
+        for alpha in ALPHAS:
+            for a in (0.5, 1.0, 2.0, 4.0):
+                rep = verify_ml_identities(alpha, a, (0.1, 0.25, 0.5, 0.75, 1.0))
+                assert rep.max_deviation <= 2e-13, (alpha, a)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_suite_passes_without_refinement_warning(self, alpha):
+        reports = run_all_verifications(REFERENCE_PARAMS.with_(alpha=alpha))
+        assert all(rep.passed for rep in reports)
+
+
 class TestConvolutionRule:
     """The CONV_NODES-node inner rule on the suite's three convolution pairs."""
 
@@ -338,8 +378,8 @@ class TestVerifyShape:
 
         monkeypatch.setattr(solowfrac.transforms, "_ml_eval", counting_ml_eval)
         run_all_verifications(REFERENCE_PARAMS.with_(alpha=0.8))
-        # 3 reports x 3 u values x 401 nodes; identity (ii) reuses (i)'s values
-        assert len(calls) == 3 * 3 * QUAD_NODES == 3609
+        # 3 reports x 3 u values x 201 nodes; identity (ii) reuses (i)'s values
+        assert len(calls) == 3 * 3 * QUAD_NODES == 1809
 
     def test_convolution_evaluates_each_integrand_once_per_node(self):
         calls = {"psi": 0, "zeta": 0}
@@ -354,5 +394,5 @@ class TestVerifyShape:
 
         verify_convolution(psi, zeta, 0.3)
         # 16 per convolution node plus one per node of S[psi] or S[zeta]:
-        # 401 * 16 + 401 (401 * 64 + 401 = 26,065 with the 64-node rule)
-        assert calls == {"psi": 6817, "zeta": 6817}
+        # 201 * 16 + 201 (201 * 64 + 201 = 13,065 with the 64-node rule)
+        assert calls == {"psi": 3417, "zeta": 3417}
