@@ -13,9 +13,9 @@ _MODULE_EXPORTS = {
     "model": ("ModelParams", "REFERENCE_PARAMS"),
     "special": ("ln_gamma",),
     "series": ("SeriesSolution", "build_series", "eval_series"),
-    "oracles": ("Trajectory", "solve_exact_classical", "solve_abm_fractional"),
+    "oracles": ("exact_classical_value", "solve_abm_fractional"),
     "equilibrium": ("EquilibriumReport", "find_equilibria"),
-    "transforms": ("MLParams", "mittag_leffler", "sumudu_numeric", "sumudu_monomial",
+    "transforms": ("mittag_leffler", "sumudu_numeric", "sumudu_monomial",
                    "verify_ml_identities", "verify_derivative_rule", "verify_convolution"),
     "sweep": ("SweepConfig", "SweepGrid", "PRESETS", "run_solve", "run_sweep"),
 }

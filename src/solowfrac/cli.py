@@ -340,7 +340,8 @@ def _cmd_compare(flags, s) -> int:
         f"{len(gaps)}/{len(series)} trusted points, "
         f"max relative gap {worst:.3e} (tol {tol:.1e})\n"
     )
-    return 0 if worst <= tol and gaps else 1
+    # t = 0 is always trusted, so it alone does not make a comparison
+    return 0 if worst <= tol and any(ok for t, _, _, ok, _ in series if t > 0) else 1
 
 
 _COMMANDS = {

@@ -111,10 +111,6 @@ class ModelParams(Record):
         """Right-hand side p*k**mu - q*k."""
         return self.p * k ** self.mu - self.q * k
 
-    def rhs_derivative(self, k: float) -> float:
-        """d/dk of the right-hand side."""
-        return self.p * self.mu * k ** (self.mu - 1.0) - self.q
-
     def at_equilibrium(self) -> bool:
         """True when k0 sits exactly (in floating point) on a fixed point."""
         return self.rhs(self.k0) == 0.0 or self.k0 == self.k_star
@@ -130,18 +126,3 @@ def check_positive(name: str, value: float) -> None:
 
 # Desk-scale reference set used throughout tests and presets.
 REFERENCE_PARAMS = ModelParams(p=0.5, q=0.2, mu=1.0 / 3.0, alpha=1.0, k0=1.0)
-
-
-def validate_times(times) -> list[float]:
-    """Strictly increasing, nonnegative time grid as a list of floats."""
-    ts = [float(t) for t in times]
-    if not ts:
-        raise ValueError("time grid must be non-empty")
-    if ts[0] < 0:
-        raise ValueError(f"times must be nonnegative, got {ts[0]}")
-    for a, b in zip(ts, ts[1:]):
-        if not b > a:
-            raise ValueError("times must be strictly increasing")
-    if not all(map(math.isfinite, ts)):
-        raise ValueError("times must be finite")
-    return ts

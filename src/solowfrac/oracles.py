@@ -1,11 +1,13 @@
 """Independent reference solutions used for cross-validation.
 
-Two backends that share no code with the series engine:
+Two backends that share no code with the series engine, each returning plain
+floats:
 
-* the exact classical solution, obtained from the Bernoulli substitution
+* `exact_classical_value`, k(t) at one time from the Bernoulli substitution
   v = k**(1-mu) which linearizes dk/dt = p*k**mu - q*k;
-* an Adams-Bashforth-Moulton predictor-corrector for the Caputo problem
-  (Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002: product-rectangle
+* `solve_abm_fractional`, the list of k on a uniform grid of steps + 1
+  points from an Adams-Bashforth-Moulton predictor-corrector for the Caputo
+  problem (Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002: product-rectangle
   predictor, product-trapezoid corrector, one corrector iteration).  Memory
   terms younger than WINDOW steps take the exact weights, and each of their
   sums is the builtin `sum`, oldest term first: plain left-to-right addition
@@ -24,14 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from itertools import repeat
 from operator import add, mul
 
-from .model import ModelParams, Record, check_positive, validate_times
+from .model import ModelParams, check_positive
 from .special import ln_gamma
 
-__all__ = ["Trajectory", "solve_exact_classical", "solve_abm_fractional"]
+__all__ = ["exact_classical_value", "solve_abm_fractional"]
 
 MIN_ABM_STEPS = 16
 # Exact weights for memory terms younger than WINDOW steps.  A 2,048-step
@@ -59,24 +60,17 @@ PANEL_GROWTH = 3.0
 HISTORY_CUTOFF = 33.0
 
 
-class Trajectory(Record):
-    """Sampled (t, k) pairs from one backend."""
-
-    __slots__ = ("times", "values", "method")
-
-    def _validate(self):
-        if len(self.times) != len(self.values):
-            raise ValueError("times and values must have equal length")
-
-
 def exact_classical_value(params: ModelParams, t: float) -> float:
     """Closed-form k(t) for alpha = 1.
 
     k(t) = v**(1/(1-mu)) with v = v0 + (p/q - v0) * (1 - exp(-q*(1-mu)*t))
     and v0 = k0**(1-mu).  1 - exp(-x) is -expm1(-x), so a small q*(1-mu)*t
     does not cancel.  Verified against an adaptive ODE integrator in the test
-    suite before anything else relies on it.  OverflowError past double range.
+    suite before anything else relies on it.  ValueError at alpha != 1;
+    OverflowError past double range.
     """
+    if params.alpha != 1.0:
+        raise ValueError(f"exact classical solver requires alpha = 1, got {params.alpha}")
     one_minus_mu = 1.0 - params.mu
     v0 = params.k0 ** one_minus_mu
     v = v0 + (params.p / params.q - v0) * -math.expm1(-params.q * one_minus_mu * t)
@@ -90,25 +84,17 @@ def exact_classical_value(params: ModelParams, t: float) -> float:
     return k
 
 
-def solve_exact_classical(params: ModelParams, times: Sequence[float]) -> Trajectory:
-    """Exact classical trajectory on the given strictly increasing grid."""
-    if params.alpha != 1.0:
-        raise ValueError(f"exact classical solver requires alpha = 1, got {params.alpha}")
-    ts = validate_times(times)
-    vals = [exact_classical_value(params, t) for t in ts]
-    return Trajectory(times=tuple(ts), values=tuple(vals), method="exact-classical")
-
-
-def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> Trajectory:
+def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[float]:
     """Adams-Bashforth-Moulton solution of the Caputo initial-value problem.
 
-    Uniform grid of `steps` intervals on [0, t_end].  Memory terms younger
-    than WINDOW steps use the exact weights; on runs longer than EXACT_STEPS
-    steps older terms use the exponential modes of `_history_modes`.  Runs of
-    at most EXACT_STEPS steps, and the first WINDOW + 1 steps of any run, are
-    therefore the plain full-history sum; past that a run stays within ~1e-11
-    relative of it (measured; the tests gate 1e-10).  ArithmeticError when a
-    step leaves capital nonpositive or non-finite.
+    The list of k at t = i * (t_end / steps) for i = 0..steps.  Memory terms
+    younger than WINDOW steps use the exact weights; on runs longer than
+    EXACT_STEPS steps older terms use the exponential modes of
+    `_history_modes`.  Runs of at most EXACT_STEPS steps, and the first
+    WINDOW + 1 steps of any run, are therefore the plain full-history sum;
+    past that a run stays within ~1e-11 relative of it (measured; the tests
+    gate 1e-10).  ArithmeticError when a step leaves capital nonpositive or
+    non-finite.
     """
     check_positive("t_end", t_end)
     if steps < MIN_ABM_STEPS:
@@ -158,9 +144,7 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> Traje
         if n >= window:  # f[n + 1 - window] leaves the window for the modes
             hist = list(map(add, map(mul, decay, hist), repeat(f_tail[n - window])))
         pow_n = pow_next
-
-    times = tuple(i * h for i in range(steps + 1))
-    return Trajectory(times=times, values=tuple(k), method="abm-fractional")
+    return k
 
 
 def _history_modes(alpha: float, steps: int) -> tuple[list[float], list[float], list[float]]:

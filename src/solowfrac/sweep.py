@@ -146,14 +146,13 @@ def evaluate(params: ModelParams, times: list[float], method: str,
             sol = build_series(params, order)
             pairs = [eval_series(sol, t) for t in times]
             return [k for k, _ in pairs], [trusted for _, trusted in pairs], None
-        from .oracles import solve_abm_fractional, solve_exact_classical  # series cells skip it
+        from .oracles import exact_classical_value, solve_abm_fractional  # series cells skip it
 
         if method == "exact":
-            values = list(solve_exact_classical(params, times).values)
+            values = [exact_classical_value(params, t) for t in times]
         else:
             per = max(1, math.ceil(256 / (len(times) - 1)))
-            traj = solve_abm_fractional(params, t_end=times[-1], steps=(len(times) - 1) * per)
-            values = [traj.values[i * per] for i in range(len(times))]
+            values = solve_abm_fractional(params, times[-1], (len(times) - 1) * per)[::per]
         return values, [True] * len(times), None
     except (ValueError, ArithmeticError) as exc:
         return [math.nan] * len(times), [False] * len(times), str(exc)

@@ -10,6 +10,11 @@ from solowfrac.model import ModelParams
 from solowfrac.special import ln_gamma
 
 
+def rhs_derivative(params: ModelParams, k: float) -> float:
+    """d/dk of the model's right-hand side p*k**mu - q*k."""
+    return params.p * params.mu * k ** (params.mu - 1.0) - params.q
+
+
 def classical_taylor_check(params: ModelParams, order: int = 3) -> list[float]:
     """Closed-form Taylor coefficients of the classical (alpha = 1) model.
 
@@ -28,7 +33,7 @@ def classical_taylor_check(params: ModelParams, order: int = 3) -> list[float]:
         raise ValueError(f"closed forms are available for order in [1, 3], got {order}")
     p, q, mu, k0 = params.p, params.q, params.mu, params.k0
     b = 0.0 if params.at_equilibrium() else params.rhs(k0)
-    d = params.rhs_derivative(k0)
+    d = rhs_derivative(params, k0)
     out = [k0, b]
     if order >= 2:
         out.append(b * d / 2.0)
@@ -52,7 +57,7 @@ def fractional_low_order_coeffs(params: ModelParams) -> list[float]:
     """
     p, q, mu, alpha, k0 = params.p, params.q, params.mu, params.alpha, params.k0
     b = 0.0 if params.at_equilibrium() else params.rhs(k0)
-    d = params.rhs_derivative(k0)
+    d = rhs_derivative(params, k0)
     g1 = math.exp(ln_gamma(alpha + 1.0))
     g2 = math.exp(ln_gamma(2.0 * alpha + 1.0))
     g3 = math.exp(ln_gamma(3.0 * alpha + 1.0))

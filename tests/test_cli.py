@@ -504,6 +504,14 @@ class TestCompare:
         assert (code, err) == (0, "")
         assert "21/21 trusted points" in out
 
+    def test_no_trusted_point_past_zero_fails(self, capsys):
+        # t = 0 is always trusted; this passed on it alone, comparing nothing
+        code, out, err = run_cli(capsys, "compare", "--p", "1e-300", "--q", "1", "--mu", "0.5",
+                                 "--k0", "1e-300", "--t-max", "50")
+        assert (code, err) == (1, "")
+        assert out == ("series (order 8) vs exact-classical: 1/21 trusted points, "
+                       "max relative gap 0.000e+00 (tol 1.0e-03)\n")
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--t-max", "2.0", "--tol", "1e-16")
         assert code == 1
@@ -632,7 +640,10 @@ def command_lines(draw):
         if kinds and draw(st.integers(0, 2)):  # a flag of this subcommand and a value of its kind
             key = draw(st.sampled_from(sorted(kinds)))
             flag = "--" + key.replace("_", "-")
-            value = draw(st.sampled_from(CHOICES.get(key) or GOOD.get(kinds[key], [""])))
+            if key in PATH_KEYS and draw(st.integers(0, 3)) == 0:  # the empty-path branch
+                value = ""
+            else:
+                value = draw(st.sampled_from(CHOICES.get(key) or GOOD.get(kinds[key], [""])))
             forms = [[flag], [flag]] if kinds[key] is bool else [[flag, value], [f"{flag}={value}"]]
         else:
             flag = draw(st.sampled_from(ALL_FLAGS + ["--bogus", "--", "-x"]))

@@ -36,7 +36,7 @@ class TestFindEquilibria:
         assert report.derivative_at_star < 0
 
     def test_derivative_at_star_when_k_star_underflows(self):
-        # k_star = (1e-292)**100 is 0.0; rhs_derivative(0.0) raised ZeroDivisionError
+        # k_star = (1e-292)**100 is 0.0; p*mu*k**(mu-1) - q at k = 0.0 raised ZeroDivisionError
         params = ModelParams(p=1e8, q=1e300, mu=0.99)
         report = find_equilibria(params)
         assert report.k_star == 0.0
@@ -74,9 +74,9 @@ class TestConvergenceToEquilibrium:
         # algebraic (t^-alpha) relaxation: looser tolerance, long horizon
         # the algebraic tail decays like t**(-alpha): 200**(-0.8) ~ 1.4e-2
         params = REFERENCE_PARAMS.with_(alpha=0.8)
-        traj = solve_abm_fractional(params, t_end=200.0, steps=2048)
-        assert abs(traj.values[-1] - params.k_star) / params.k_star <= 3e-2
-        assert all(b >= a for a, b in zip(traj.values, traj.values[1:]))
+        values = solve_abm_fractional(params, t_end=200.0, steps=2048)
+        assert abs(values[-1] - params.k_star) / params.k_star <= 3e-2
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_zero_equilibrium_unstable(self):
         params = REFERENCE_PARAMS

@@ -88,6 +88,14 @@ GOLDEN = {
 }
 
 
+def test_interpreter_sums_floats_left_to_right():
+    # The ABM's memory sums are builtin sum(), which adds floats left to right
+    # up to CPython 3.11; every digest with ABM rows pins that.
+    assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
+        "this interpreter's sum() compensates float rounding (CPython 3.12+, gh-100425), "
+        "so the ABM digests cannot match; see README's note on gh-100425 and ROADMAP item 14")
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -39,16 +39,13 @@ class TestModelParams:
 def _record_factories():
     """Record class name -> a builder; each call builds a fresh, equal record."""
     from solowfrac.equilibrium import find_equilibria
-    from solowfrac.oracles import solve_exact_classical
     from solowfrac.series import build_series
     from solowfrac.sweep import PRESETS, SweepGrid
-    from solowfrac.transforms import MLParams, VerificationReport
+    from solowfrac.transforms import VerificationReport
 
     return {
         "ModelParams": lambda: ModelParams(p=0.5, q=0.2, mu=1.0 / 3.0),
-        "MLParams": lambda: MLParams(0.5, -1.0),
         "SeriesSolution": lambda: build_series(REFERENCE_PARAMS, 3),
-        "Trajectory": lambda: solve_exact_classical(REFERENCE_PARAMS, [0.0, 0.5]),
         "EquilibriumReport": lambda: find_equilibria(REFERENCE_PARAMS),
         "SweepConfig": lambda: PRESETS["fig-ktq"].with_(),
         "SweepGrid": lambda: SweepGrid(config=PRESETS["fig-ktq"],
@@ -126,9 +123,7 @@ class TestRecords:
         assert all(type(build()).__name__ == name for name, build in make.items())
         cases = [
             (make["ModelParams"](), {"q": -1.0}, "q must be positive, got -1.0"),
-            (make["MLParams"](), {"z": math.inf}, "Mittag-Leffler argument must be finite, got inf"),
             (make["SeriesSolution"](), {"order": 4}, "coefficient count must equal order + 1"),
-            (make["Trajectory"](), {"values": (1.0,)}, "times and values must have equal length"),
             (make["SweepConfig"](), {"axis": "k0"},
              "axis must be one of ('p', 'q', 'mu', 'alpha'), got 'k0'"),
             (make["SweepConfig"](), {"axis": "mu", "axis_range": (0.1, 1.5, 21)},

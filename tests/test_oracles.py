@@ -10,14 +10,13 @@ from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import (
     EXACT_STEPS,
     WINDOW,
-    Trajectory,
     _history_modes,
     _jacgauss,
     exact_classical_value,
     solve_abm_fractional,
-    solve_exact_classical,
 )
 from solowfrac.special import ln_gamma
+from solowfrac.sweep import time_grid
 
 
 def _abm_reference(params, t_end, steps):
@@ -82,8 +81,8 @@ def _draws(seed, count):
 
 class TestExactClassical:
     def test_initial_value(self):
-        traj = solve_exact_classical(REFERENCE_PARAMS, [0.0, 1.0])
-        assert traj.values[0] == pytest.approx(REFERENCE_PARAMS.k0, rel=1e-14)
+        value = exact_classical_value(REFERENCE_PARAMS, 0.0)
+        assert value == pytest.approx(REFERENCE_PARAMS.k0, rel=1e-14)
 
     def test_long_time_limit(self):
         k_star = REFERENCE_PARAMS.k_star
@@ -129,14 +128,15 @@ class TestExactClassical:
             assert abs(got - want) / want <= bound
 
     def test_rejects_fractional_order(self):
-        with pytest.raises(ValueError):
-            solve_exact_classical(REFERENCE_PARAMS.with_(alpha=0.8), [0.0, 1.0])
+        with pytest.raises(ValueError, match="exact classical solver requires alpha = 1, got 0.8"):
+            exact_classical_value(REFERENCE_PARAMS.with_(alpha=0.8), 1.0)
 
     def test_rejects_bad_grid(self):
+        # `time_grid` builds every grid the oracles see: no decreasing or empty one
         with pytest.raises(ValueError):
-            solve_exact_classical(REFERENCE_PARAMS, [1.0, 0.5])
+            time_grid(-1.0, 2)
         with pytest.raises(ValueError):
-            solve_exact_classical(REFERENCE_PARAMS, [])
+            time_grid(1.0, 0)
 
 
 class TestABM:
@@ -144,8 +144,8 @@ class TestABM:
         for alpha in (0.5, 0.8, 1.0):
             params = REFERENCE_PARAMS.with_(alpha=alpha)
             params = params.with_(k0=params.k_star)
-            traj = solve_abm_fractional(params, t_end=1.0, steps=64)
-            for v in traj.values:
+            values = solve_abm_fractional(params, t_end=1.0, steps=64)
+            for v in values:
                 assert v == pytest.approx(params.k0, rel=1e-12)
 
     def test_equilibrium_start_constant_through_the_history(self):
@@ -153,15 +153,15 @@ class TestABM:
         for alpha in (1e-4, 0.05, 0.5, 0.8, 1.0 - 1e-9, 1.0):
             params = REFERENCE_PARAMS.with_(alpha=alpha)
             params = params.with_(k0=params.k_star)
-            traj = solve_abm_fractional(params, t_end=1.0, steps=2048)
-            for v in traj.values:
+            values = solve_abm_fractional(params, t_end=1.0, steps=2048)
+            for v in values:
                 assert v == pytest.approx(params.k0, rel=1e-12)
 
     def test_classical_limit_matches_exact(self):
-        traj = solve_abm_fractional(REFERENCE_PARAMS, t_end=2.0, steps=1024)
+        values = solve_abm_fractional(REFERENCE_PARAMS, t_end=2.0, steps=1024)
         worst = 0.0
-        for t, k in zip(traj.times[1:], traj.values[1:]):
-            exact = exact_classical_value(REFERENCE_PARAMS, t)
+        for i, k in enumerate(values[1:], start=1):
+            exact = exact_classical_value(REFERENCE_PARAMS, i * (2.0 / 1024))
             worst = max(worst, abs(k - exact) / exact)
         assert worst <= 1e-4
 
@@ -169,16 +169,16 @@ class TestABM:
         params = REFERENCE_PARAMS.with_(alpha=0.8)
         coarse = solve_abm_fractional(params, t_end=2.0, steps=512)
         fine = solve_abm_fractional(params, t_end=2.0, steps=1024)
-        rel = abs(coarse.values[-1] - fine.values[-1]) / fine.values[-1]
+        rel = abs(coarse[-1] - fine[-1]) / fine[-1]
         assert rel <= 1e-3
 
     def test_convergence_order(self):
         # halving h must cut the t_end error at least in half (order > 1)
         params = REFERENCE_PARAMS.with_(alpha=0.8)
-        reference = solve_abm_fractional(params, t_end=1.0, steps=4096).values[-1]
+        reference = solve_abm_fractional(params, t_end=1.0, steps=4096)[-1]
         errors = []
         for steps in (128, 256, 512):
-            v = solve_abm_fractional(params, t_end=1.0, steps=steps).values[-1]
+            v = solve_abm_fractional(params, t_end=1.0, steps=steps)[-1]
             errors.append(abs(v - reference))
         assert errors[1] <= errors[0] / 2.0
         assert errors[2] <= errors[1] / 2.0
@@ -186,24 +186,24 @@ class TestABM:
     @pytest.mark.parametrize("alpha", [0.6, 0.8, 1.0])
     def test_monotone_approach_from_below(self, alpha):
         params = REFERENCE_PARAMS.with_(alpha=alpha)
-        traj = solve_abm_fractional(params, t_end=5.0, steps=512)
-        assert all(b > a for a, b in zip(traj.values, traj.values[1:]))
-        assert max(traj.values) <= params.k_star * (1.0 + 1e-9)
+        values = solve_abm_fractional(params, t_end=5.0, steps=512)
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert max(values) <= params.k_star * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("alpha", [0.6, 1.0])
     def test_monotone_approach_from_above(self, alpha):
         params = REFERENCE_PARAMS.with_(alpha=alpha, k0=3.0 * REFERENCE_PARAMS.k_star)
-        traj = solve_abm_fractional(params, t_end=5.0, steps=512)
-        assert all(b < a for a, b in zip(traj.values, traj.values[1:]))
-        assert min(traj.values) >= params.k_star * (1.0 - 1e-9)
+        values = solve_abm_fractional(params, t_end=5.0, steps=512)
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert min(values) >= params.k_star * (1.0 - 1e-9)
 
     def test_alpha_ordering_small_time(self):
         # smaller order reacts faster at early times (t^alpha > t for t < 1)
         responses = {}
         for alpha in (0.5, 0.8, 1.0):
             params = REFERENCE_PARAMS.with_(alpha=alpha)
-            traj = solve_abm_fractional(params, t_end=0.1, steps=128)
-            responses[alpha] = traj.values[-1] - params.k0
+            values = solve_abm_fractional(params, t_end=0.1, steps=128)
+            responses[alpha] = values[-1] - params.k0
         assert responses[0.5] > responses[0.8] > responses[1.0] > 0
 
     def test_validation(self):
@@ -221,8 +221,8 @@ class TestABMReference:
     ])
     def test_bit_identical_to_double_loop(self, steps, count):
         for params, t_end in _draws(steps, count):
-            traj = solve_abm_fractional(params, t_end=t_end, steps=steps)
-            assert traj.values == _abm_reference(params, t_end, steps)
+            values = solve_abm_fractional(params, t_end=t_end, steps=steps)
+            assert tuple(values) == _abm_reference(params, t_end, steps)
 
     # Longer runs send terms older than WINDOW steps through the modes: the
     # first WINDOW + 1 steps stay exact, and no value may move by more than
@@ -230,7 +230,7 @@ class TestABMReference:
     @pytest.mark.parametrize("steps, count", [(EXACT_STEPS + 1, 6), (2048, 4), (4096, 4)])
     def test_history_within_1e10_of_double_loop(self, steps, count):
         for params, t_end in _draws(steps, count):
-            got = solve_abm_fractional(params, t_end=t_end, steps=steps).values
+            got = tuple(solve_abm_fractional(params, t_end=t_end, steps=steps))
             want = _abm_reference(params, t_end, steps)
             assert got[:WINDOW + 2] == want[:WINDOW + 2]
             assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-10
@@ -321,9 +321,3 @@ class TestGaussJacobi:
                 scale = mp.beta(bt + 1, k + 1) + mp.quad(lambda t: (1 + t) ** bt * t ** k, [0, 1])
                 got = math.fsum(wi * xi ** k for xi, wi in zip(x, w))
                 assert abs(got - exact) / scale <= 1e-14, k
-
-
-class TestTrajectoryType:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=(0.0, 1.0), values=(1.0,), method="series")

@@ -13,15 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from reference_helpers import gamma_ratio
 from solowfrac.special import ln_gamma
-from solowfrac.transforms import MLParams, mittag_leffler
 from solowfrac.transforms import (
     _ML_CONTOUR,
     _ML_TABLE_ALPHAS,
     _ml_contour,
     _ml_contour_table,
-    _ml_eval,
     _ml_taylor_double,
     _ml_taylor_table,
+    mittag_leffler,
 )
 
 # Reference values computed with 40-digit arbitrary-precision arithmetic.
@@ -193,14 +192,14 @@ class TestGammaRatio:
 
 class TestMittagLeffler:
     def test_alpha_one_is_exp(self):
-        assert mittag_leffler(MLParams(1.0, -1.0)) == pytest.approx(1.0 / math.e, abs=1e-10)
+        assert mittag_leffler(1.0, -1.0) == pytest.approx(1.0 / math.e, abs=1e-10)
 
     def test_zero_argument_exact(self):
         for alpha in (1e-4, 0.3, 0.7, 1.0):
-            assert mittag_leffler(MLParams(alpha, 0.0)) == 1.0
+            assert mittag_leffler(alpha, 0.0) == 1.0
 
     def test_half_minus_one(self):
-        assert mittag_leffler(MLParams(0.5, -1.0)) == pytest.approx(
+        assert mittag_leffler(0.5, -1.0) == pytest.approx(
             ML_HALF_MINUS_ONE, abs=1e-10
         )
 
@@ -208,22 +207,22 @@ class TestMittagLeffler:
         # E_{1/2}(-x) = exp(x^2) * erfc(x), an independent closed form
         for x in (0.5, 2.0, 5.0, 9.0, 30.0, 100.0, 300.0, 1000.0):
             expected = float(mp.exp(mp.mpf(x) ** 2) * mp.erfc(x))
-            assert mittag_leffler(MLParams(0.5, -x)) == pytest.approx(expected, abs=1e-12)
+            assert mittag_leffler(0.5, -x) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("alpha", ML_GRID_ALPHAS)
     def test_negative_axis_against_spectral_integral(self, alpha):
         for z in ML_GRID_Z:
             expected = ml_negative_reference(alpha, -z)
-            assert abs(mittag_leffler(MLParams(alpha, z)) - expected) <= 1e-12, z
+            assert abs(mittag_leffler(alpha, z) - expected) <= 1e-12, z
 
     @pytest.mark.parametrize("z", [-100.0, -30.0, -10.0, -6.5, -3.0, -1.0, -0.5, 0.0])
     def test_alpha_one_matches_exp_on_interval(self, z):
-        assert abs(mittag_leffler(MLParams(1.0, z)) - math.exp(z)) <= 1e-10
+        assert abs(mittag_leffler(1.0, z) - math.exp(z)) <= 1e-10
 
     def test_monotone_in_argument(self):
         for alpha in (0.5, 0.8, 1.0):
             grid = [-9.5 + i * 0.5 for i in range(20)]
-            vals = [mittag_leffler(MLParams(alpha, z)) for z in grid]
+            vals = [mittag_leffler(alpha, z) for z in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_taylor_sum_bit_identical_to_gamma_ratio_loop(self):
@@ -296,18 +295,16 @@ class TestMittagLeffler:
         value = alpha if named == "order" else z
         with pytest.raises(ValueError, match=re.escape(f"{named} outside supported")
                            + ".*" + re.escape(f"got {value}")):
-            _ml_eval(alpha, z)
-        with pytest.raises(ValueError):
-            mittag_leffler(MLParams(alpha, z))
+            mittag_leffler(alpha, z)
         # refused before any per-alpha table was built
         assert _ml_contour_table.cache_info().misses == 0
         assert _ml_taylor_table.cache_info().misses == 0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            MLParams(-0.5, 1.0)
+            mittag_leffler(-0.5, 1.0)
         with pytest.raises(ValueError):
-            MLParams(0.5, math.inf)
+            mittag_leffler(0.5, math.inf)
 
     @given(
         alpha=st.floats(min_value=1e-4, max_value=1.0),
@@ -319,7 +316,7 @@ class TestMittagLeffler:
         # completely monotone on the negative axis for alpha <= 1.  At alpha = 1
         # the value is exp(z), which underflows to the correctly rounded 0.0
         # below z ~ -745.1; for alpha < 1 it stays positive down to z = -1000.
-        value = mittag_leffler(MLParams(alpha, z))
+        value = mittag_leffler(alpha, z)
         if alpha == 1.0:
             assert value == math.exp(z)
         else:

@@ -12,12 +12,11 @@ from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.oracles import _leggauss, exact_classical_value
 from solowfrac.transforms import (
     IDENTITY_TOL,
-    MLParams,
     QUAD_NODES,
     _convolve,
     _de_nodes,
-    _ml_eval,
     VerificationReport,
+    mittag_leffler,
     run_all_verifications,
     sumudu_monomial,
     sumudu_numeric,
@@ -41,7 +40,7 @@ def ml_identities_reference(alpha: float, a: float, u_grid) -> list[tuple[str, f
     report = VerificationReport(name="reference", tol=IDENTITY_TOL)
 
     def profile(t):
-        return _ml_eval(alpha, -a * t ** alpha)
+        return mittag_leffler(alpha, -a * t ** alpha)
 
     for u in u_grid:
         closed_i = 1.0 / (1.0 + a * u ** alpha)
@@ -230,16 +229,20 @@ class TestIdentities:
             verify_ml_identities(alpha=0.8, a=0.0, u_grid=(0.5,))
 
     @pytest.mark.parametrize("alpha, a, message", [
-        (0.0, 1.0, "Mittag-Leffler order must be positive, got 0.0"),
-        (-0.5, 1.0, "Mittag-Leffler order must be positive, got -0.5"),
-        (math.nan, 1.0, "Mittag-Leffler order must be positive, got nan"),
+        (0.0, 1.0, "Mittag-Leffler order outside supported (0, 1], got 0.0"),
+        (-0.5, 1.0, "Mittag-Leffler order outside supported (0, 1], got -0.5"),
+        (math.nan, 1.0, "Mittag-Leffler order outside supported (0, 1], got nan"),
         (2.5, 1.0, "Mittag-Leffler order outside supported (0, 1], got 2.5"),
         (1.5, 1.0, "Mittag-Leffler order outside supported (0, 1], got 1.5"),
         (0.8, -1.0, "relaxation rate must be positive, got -1.0"),
         (0.8, math.nan, "relaxation rate must be positive, got nan"),
-        (0.8, math.inf, "Mittag-Leffler argument must be finite, got -inf"),
+        (0.8, math.inf, "relaxation rate must be finite, got inf"),
     ])
-    def test_ml_pair_rejects_bad_order_or_rate(self, alpha, a, message):
+    def test_ml_pair_rejects_bad_order_or_rate(self, monkeypatch, alpha, a, message):
+        def no_sum(values, u):
+            raise AssertionError("a quadrature sum ran before the check")
+
+        monkeypatch.setattr(solowfrac.transforms, "_de_sum", no_sum)
         with pytest.raises(ValueError, match=re.escape(message)):
             verify_ml_identities(alpha=alpha, a=a, u_grid=(0.5,))
 
@@ -291,8 +294,7 @@ class TestRuleAccuracy:
     def nodes(self, request, monkeypatch):
         monkeypatch.setattr(solowfrac.transforms, "QUAD_NODES", request.param)
 
-    # The refinement warning is absolute: S[t**24](0.5) is 3.7e16.
-    @pytest.mark.filterwarnings("ignore:transform quadrature refinements disagree")
+    @pytest.mark.filterwarnings("error")
     def test_monomials_match_50_digits(self, nodes):
         worst = 0.0
         with mp.workdps(50):
@@ -344,27 +346,19 @@ class TestConvolutionRule:
 class TestVerifyShape:
     """What one cold `verify` run at alpha = 0.8 builds and calls."""
 
-    def test_one_record_per_ml_report_and_bounded_ln_gamma(self, monkeypatch):
+    def test_bounded_ln_gamma(self, monkeypatch):
         solowfrac.transforms._ml_contour_table.cache_clear()
         solowfrac.transforms._ml_taylor_table.cache_clear()
-        calls = {"MLParams": 0, "ln_gamma": 0}
-        validate, ln_gamma = MLParams._validate, solowfrac.transforms.ln_gamma
-
-        def counting_validate(self):
-            calls["MLParams"] += 1
-            validate(self)
+        calls = {"ln_gamma": 0}
+        ln_gamma = solowfrac.transforms.ln_gamma
 
         def counting_ln_gamma(x):
             calls["ln_gamma"] += 1
             return ln_gamma(x)
 
-        monkeypatch.setattr(MLParams, "_validate", counting_validate)
         monkeypatch.setattr(solowfrac.transforms, "ln_gamma", counting_ln_gamma)
         reports = run_all_verifications(REFERENCE_PARAMS.with_(alpha=0.8))
-        ml_reports = [rep for rep in reports if rep.name.startswith("mittag-leffler")]
-        assert len(ml_reports) == 3
-        # one record per report, not one per quadrature node (7,218 before)
-        assert calls["MLParams"] <= len(ml_reports)
+        assert len([rep for rep in reports if rep.name.startswith("mittag-leffler")]) == 3
         # the per-alpha gamma-ratio tables, not one call per Taylor term
         # (10,999 before; 62 measured)
         assert calls["ln_gamma"] <= 131
@@ -372,11 +366,11 @@ class TestVerifyShape:
     def test_one_ml_eval_per_node(self, monkeypatch):
         calls = []
 
-        def counting_ml_eval(alpha, z):
+        def counting_ml(alpha, z):
             calls.append(z)
-            return _ml_eval(alpha, z)
+            return mittag_leffler(alpha, z)
 
-        monkeypatch.setattr(solowfrac.transforms, "_ml_eval", counting_ml_eval)
+        monkeypatch.setattr(solowfrac.transforms, "mittag_leffler", counting_ml)
         run_all_verifications(REFERENCE_PARAMS.with_(alpha=0.8))
         # 3 reports x 3 u values x 201 nodes; identity (ii) reuses (i)'s values
         assert len(calls) == 3 * 3 * QUAD_NODES == 1809
