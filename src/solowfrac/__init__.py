@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "model": ("ModelParams", "REFERENCE_PARAMS"),
     "special": ("ln_gamma",),
-    "series": ("SeriesSolution", "build_series", "eval_series"),
+    "series": ("build_series", "eval_series"),
     "oracles": ("exact_classical_value", "solve_abm_fractional"),
-    "equilibrium": ("EquilibriumReport", "find_equilibria"),
+    "equilibrium": ("find_equilibria",),
     "transforms": ("mittag_leffler", "sumudu_numeric", "sumudu_monomial",
                    "verify_ml_identities", "verify_derivative_rule", "verify_convolution"),
     "sweep": ("SweepConfig", "SweepGrid", "PRESETS", "run_solve", "run_sweep"),

@@ -105,9 +105,13 @@ def _read_config(path: str, command: str) -> dict:
         if key not in COMMAND_KEYS[command]:
             raise ValueError(f"{path}:{lineno}: {command!r} does not read key {key!r}")
         try:
-            values[key] = COMMAND_KEYS[command][key](val.strip())
+            value = COMMAND_KEYS[command][key](val.strip())
+            if key in CHOICES and value not in CHOICES[key]:
+                choices = ", ".join(CHOICES[key])
+                raise ValueError(f"invalid choice {value!r}; choose from {choices}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+        values[key] = value
     return values
 
 
@@ -211,7 +215,7 @@ def _settings(command: str, flags: dict) -> dict:
     keys = COMMAND_KEYS[command]
     config = _read_config(flags["config"], command) if flags.get("config") else {}
     given = {key: value for key, value in flags.items() if key in keys}
-    preset = PRESETS.get(given.get("preset", config.get("preset")))  # sweep refuses unknown names
+    preset = PRESETS.get(given.get("preset", config.get("preset")))
     fields = {}
     if preset is not None:
         (lo, hi, count), (t_max, t_count) = preset.axis_range, preset.t_range
@@ -244,8 +248,6 @@ def _cmd_sweep(flags, s) -> int:
     out, script = flags.get("out"), flags.get("gnuplot_script")
     if script and not out:
         raise ValueError("--gnuplot-script requires --out: the script plots that CSV file")
-    if s.get("preset") not in (None, *PRESETS):
-        raise ValueError(f"unknown preset {s['preset']!r}; choose from {sorted(PRESETS)}")
     if s.get("axis") is None:
         raise ValueError("sweep requires --preset or --axis with a range")
     if s.get("axis_min") is None or s.get("axis_max") is None:
@@ -267,10 +269,11 @@ def _cmd_sweep(flags, s) -> int:
 
 def _render_equilibria_table(report, params) -> str:
     rows = [
-        ("fixed point k = 0", "0", report.k_zero_stability),
-        ("fixed point k* = (p/q)^(1/(1-mu))", "%.12g" % report.k_star, report.k_star_stability),
-        ("RHS derivative at k*", "%.12g" % report.derivative_at_star, ""),
-        ("inflection candidate (pmu/q)^(1/(1-mu))", "%.12g" % report.inflection_candidate, ""),
+        ("fixed point k = 0", "0", report["k_zero_stability"]),
+        ("fixed point k* = (p/q)^(1/(1-mu))", "%.12g" % report["k_star"],
+         report["k_star_stability"]),
+        ("RHS derivative at k*", "%.12g" % report["derivative_at_star"], ""),
+        ("inflection candidate (pmu/q)^(1/(1-mu))", "%.12g" % report["inflection_candidate"], ""),
     ]
     width = max(len(r[0]) for r in rows)
     lines = [f"equilibria for p={params.p:g} q={params.q:g} mu={params.mu:g}"]
@@ -286,7 +289,7 @@ def _cmd_equilibria(flags, s) -> int:
 
     params = _params(s)
     report = find_equilibria(params)
-    text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text if flags.get("json") else _render_equilibria_table(report, params) + "\n")
     if out := flags.get("out"):
         _write(out, text)
@@ -332,8 +335,10 @@ def _cmd_compare(flags, s) -> int:
     rows = run_solve(_params(s), s["t_max"], s["samples"], "both", order)
     # t-major then method: each even row is the series, the next its oracle
     series, oracle = rows[0::2], rows[1::2]
-    gaps = [abs(k - ref) / abs(ref)
-            for (_, _, k, ok, _), (_, _, ref, _, _) in zip(series, oracle) if ok]
+    pairs = [(t, k, ref) for (t, _, k, ok, _), (_, _, ref, _, _) in zip(series, oracle) if ok]
+    if zeros := [t for t, _, ref in pairs if ref == 0.0]:
+        raise ArithmeticError(f"oracle k(t) underflows to 0.0 at t={zeros[0]!r}: no relative gap")
+    gaps = [abs(k - ref) / abs(ref) for _, k, ref in pairs]
     worst = max([0.0, *gaps])  # from 0.0 first, so a NaN gap is never the worst
     sys.stdout.write(
         f"series (order {order}) vs {ORACLE_NAMES[oracle[0][4]]}: "

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 
-from .model import ModelParams, Record
+from .model import ModelParams
 from .special import ln_gamma
 
 __all__ = [
-    "SeriesSolution",
     "build_series",
     "check_order",
     "eval_series",
@@ -45,17 +44,6 @@ MAX_ORDER = 64
 # trusted points within 1e-2 of the exact solution (tests/test_series.py);
 # 0.05 let them drift up to 2.6e-2.  Outside that box the rule has no stated bound.
 TRUST_TOL = 0.02
-
-
-class SeriesSolution(Record):
-    """Immutable truncated series: coeffs[n] multiplies t**(n*alpha)."""
-
-    __slots__ = ("params", "order", "coeffs")
-    _defaults = {"coeffs": ()}
-
-    def _validate(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient count must equal order + 1")
 
 
 def check_order(order: int) -> None:
@@ -79,8 +67,9 @@ def miller_step(mu: float, c: list[float], a: list[float]) -> float:
     return s / (n * c[0])
 
 
-def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> SeriesSolution:
-    """Series coefficients up to the requested truncation order, in O(order^2).
+def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> tuple[float, ...]:
+    """Series coefficients c_0 = k0, ..., c_order, in O(order^2); c_n multiplies
+    t**(n*alpha).
 
     ArithmeticError names the first order whose coefficient is not finite.
     """
@@ -104,32 +93,31 @@ def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> SeriesSolut
         if not math.isfinite(c[-1]):
             raise ArithmeticError(f"series coefficient at order {n + 1} is {c[-1]}: "
                                   "the series overflows double precision")
-    return SeriesSolution(params=params, order=order, coeffs=tuple(c))
+    return tuple(c)
 
 
-def eval_series(sol: SeriesSolution, t: float) -> tuple[float, bool]:
-    """Evaluate the truncated series at t >= 0.
+def eval_series(coeffs: tuple[float, ...], alpha: float, t: float) -> tuple[float, bool]:
+    """Evaluate sum_n coeffs[n] * t**(n*alpha), the truncated series, at t >= 0.
 
-    Returns (value, trusted).  The evaluation is trusted when the last
-    retained term is small against the solution scale:
+    Returns (value, trusted).  The evaluation is trusted when the sum is
+    finite and the last retained term is small against the solution scale:
 
-        |c_N * t**(N*alpha)| / max(|k0|, |sum|) <= TRUST_TOL.
+        |c_N * t**(N*alpha)| / max(|c_0|, |sum|) <= TRUST_TOL,
 
-    Untrusted values are returned, not rejected.
+    with c_0 = k0.  Untrusted values are returned, not rejected.
     """
     if t < 0:
         raise ValueError(f"series evaluation requires t >= 0, got {t}")
-    alpha = sol.params.alpha
     if t == 0.0:
-        return sol.coeffs[0], True
+        return coeffs[0], True
     x = t ** alpha
     total = 0.0
     power = 1.0
     last_term = 0.0
-    for c_n in sol.coeffs:
+    for c_n in coeffs:
         last_term = c_n * power
         total += last_term
         power *= x
-    scale = max(abs(sol.params.k0), abs(total))
-    trusted = abs(last_term) <= TRUST_TOL * scale
+    scale = max(abs(coeffs[0]), abs(total))
+    trusted = math.isfinite(total) and abs(last_term) <= TRUST_TOL * scale
     return total, trusted

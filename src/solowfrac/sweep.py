@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .model import ModelParams, Record, check_positive
+from .model import REFERENCE_PARAMS, ModelParams, Record, check_positive
 from .series import DEFAULT_ORDER, build_series, check_order, eval_series
 
 __all__ = [
@@ -99,32 +99,28 @@ class SweepGrid(Record):
     _defaults = {"failures": ()}
 
 
-def _reference_base(alpha: float = 1.0) -> ModelParams:
-    return ModelParams(p=0.5, q=0.2, mu=1.0 / 3.0, alpha=alpha, k0=1.0)
-
-
 # Figure-replication presets.  Axis ranges are artifact choices within
 # standard economic ranges; t in [0, 2] with 41 points, 21 axis values,
 # truncation order 5.
 PRESETS: dict[str, SweepConfig] = {
     "fig-ktq": SweepConfig(
-        base=_reference_base(), axis="q", axis_range=(0.1, 0.4, 21),
+        base=REFERENCE_PARAMS, axis="q", axis_range=(0.1, 0.4, 21),
         t_range=(2.0, 41),
     ),
     "fig-ktp": SweepConfig(
-        base=_reference_base(), axis="p", axis_range=(0.2, 1.0, 21),
+        base=REFERENCE_PARAMS, axis="p", axis_range=(0.2, 1.0, 21),
         t_range=(2.0, 41),
     ),
     "fig-ktmu": SweepConfig(
-        base=_reference_base(), axis="mu", axis_range=(0.1, 0.9, 21),
+        base=REFERENCE_PARAMS, axis="mu", axis_range=(0.1, 0.9, 21),
         t_range=(2.0, 41),
     ),
     "fig-ktq-frac": SweepConfig(
-        base=_reference_base(alpha=0.8), axis="q", axis_range=(0.1, 0.4, 21),
+        base=REFERENCE_PARAMS.with_(alpha=0.8), axis="q", axis_range=(0.1, 0.4, 21),
         t_range=(2.0, 41),
     ),
     "fig-ktalpha": SweepConfig(
-        base=_reference_base(alpha=0.8), axis="alpha", axis_range=(0.3, 1.0, 21),
+        base=REFERENCE_PARAMS.with_(alpha=0.8), axis="alpha", axis_range=(0.3, 1.0, 21),
         t_range=(2.0, 41),
     ),
 }
@@ -143,8 +139,8 @@ def evaluate(params: ModelParams, times: list[float], method: str,
         raise ValueError(f"unknown method {method!r}")
     try:
         if method == "series":
-            sol = build_series(params, order)
-            pairs = [eval_series(sol, t) for t in times]
+            coeffs = build_series(params, order)
+            pairs = [eval_series(coeffs, params.alpha, t) for t in times]
             return [k for k, _ in pairs], [trusted for _, trusted in pairs], None
         from .oracles import exact_classical_value, solve_abm_fractional  # series cells skip it
 
@@ -245,8 +241,9 @@ def sidecar_metadata(grid: SweepGrid) -> str:
 
 def gnuplot_script(csv_path: str, config: SweepConfig) -> str:
     """Companion gnuplot script: one k(t, axis) surface per method of the grid."""
+    quoted = csv_path.replace("'", "''")  # gnuplot's escape inside single quotes
     surfaces = ", ".join(
-        f"'{csv_path}' every ::1 using 1:2:(strcol(5) eq '{m}' ? $3 : 1/0) "
+        f"'{quoted}' every ::1 using 1:2:(strcol(5) eq '{m}' ? $3 : 1/0) "
         f"with lines title '{m} k(t, {config.axis})'"
         for m in config.methods()
     )

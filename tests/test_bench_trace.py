@@ -1,7 +1,8 @@
 """The benchmark's traced mode still runs the commands it times.
 
 `clibench/bench_trace.py` wraps functions by name, reads `run_solve`'s
-method argument and replaces `sumudu_numeric`'s integrand, so a refactor
+method argument, `run_sweep`'s config and rows and `eval_series`'s trust
+flag, and replaces `sumudu_numeric`'s integrand, so a refactor
 of the package can break it without breaking any command.  Each case runs
 the tracer in a fresh process, as the benchmark does, and reads its
 counters.
@@ -45,3 +46,18 @@ def test_series_and_oracle_go_through_run_solve(tmp_path, argv, csv_writes):
 def test_verify_runs_traced(tmp_path):
     counts = traced_counts(tmp_path, "verify", "--alpha", "0.5")
     assert counts["transforms.sumudu_numeric.calls"] > 0
+
+
+@pytest.mark.parametrize("method, cells", [("series", 3), ("both", 6)])
+def test_sweep_counts_cells_rows_and_trusted_points(tmp_path, method, cells):
+    # t up to 20 at order 5: the early points are trusted, the late ones not
+    counts = traced_counts(tmp_path, "sweep", "--axis", "q", "--axis-min", "0.1",
+                           "--axis-max", "0.4", "--axis-count", "3", "--t-max", "20",
+                           "--t-count", "11", "--method", method, "--out", "grid.csv")
+    rows = (tmp_path / "grid.csv").read_text().splitlines()[1:]
+    trusted = [row.endswith(",true,series") for row in rows if row.endswith(",series")]
+    assert 0 < sum(trusted) < len(trusted) == 33
+    assert counts["sweep.cells"] == cells
+    assert counts["sweep.rows"] == len(rows) == 11 * cells
+    assert counts["series.eval_series.calls"] == 33
+    assert counts["series.eval_series.trusted"] == sum(trusted)

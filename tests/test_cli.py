@@ -49,6 +49,12 @@ class TestSolve:
         methods = [line.rsplit(",", 1)[1] for line in out.splitlines()[1:]]
         assert methods == ["series", "exact"] * 3
 
+    def test_infinite_series_value_is_untrusted(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--t-max", "1e160", "--order", "2",
+                               "--samples", "3")
+        assert code == 0
+        assert out.splitlines()[2:] == ["5e+159,-inf,false,series", "1e+160,-inf,false,series"]
+
     def test_exact_with_fractional_alpha_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, "solve", "--alpha", "0.8", "--method", "exact", "--samples", "5"
@@ -195,7 +201,19 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 2
         assert out == ""
-        assert err == "error: unknown method 'bogus'\n"
+        assert err == (f"error: {cfg}:1: bad value for 'method': invalid choice 'bogus'; "
+                       "choose from series, abm, exact, both\n")
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "method", "zz"), ("sweep", "preset", "nope"), ("sweep", "axis", "k0")])
+    def test_choice_outside_its_list_names_the_line(self, capsys, tmp_path, command, key, value):
+        # a flag's choice check, with the config file's path:lineno: prefix
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# choices\n{key} = {value}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg}:2: bad value for {key!r}: invalid choice {value!r}; "
+                       f"choose from {', '.join(CHOICES[key])}\n")
 
 
 # A small run of each subcommand, and a value for every key of the settings
@@ -320,7 +338,7 @@ class TestSweep:
         cfg.write_text("preset = fig-nope\n")
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
         assert code == 2
-        assert "unknown preset" in err
+        assert err.startswith(f"error: {cfg}:1: bad value for 'preset': invalid choice 'fig-nope'")
 
     def test_sidecar_records_failed_cells(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
@@ -511,6 +529,13 @@ class TestCompare:
         assert (code, err) == (1, "")
         assert out == ("series (order 8) vs exact-classical: 1/21 trusted points, "
                        "max relative gap 0.000e+00 (tol 1.0e-03)\n")
+
+    def test_oracle_underflow_names_the_time(self, capsys):
+        # the exact k(t) underflows to 0.0 here: "float division by zero", exit 2
+        code, out, err = run_cli(capsys, "compare", "--p", "1e-300", "--q", "1", "--mu", "0.5",
+                                 "--k0", "5e-324", "--t-max", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: oracle k(t) underflows to 0.0 at t=0.7: no relative gap\n"
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "compare", "--t-max", "2.0", "--tol", "1e-16")

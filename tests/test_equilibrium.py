@@ -14,51 +14,51 @@ class TestFindEquilibria:
     def test_equal_rates_give_unit_equilibrium(self):
         for mu in (0.2, 0.5, 0.8):
             report = find_equilibria(ModelParams(p=0.3, q=0.3, mu=mu))
-            assert report.k_star == pytest.approx(1.0, rel=1e-14)
+            assert report["k_star"] == pytest.approx(1.0, rel=1e-14)
 
     def test_reference_value(self):
         report = find_equilibria(REFERENCE_PARAMS)
-        assert report.k_star == pytest.approx(2.5 ** 1.5, rel=1e-12)
+        assert report["k_star"] == pytest.approx(2.5 ** 1.5, rel=1e-12)
         # the growth rate vanishes at the fixed point
-        assert abs(REFERENCE_PARAMS.rhs(report.k_star)) <= 1e-12
+        assert abs(REFERENCE_PARAMS.rhs(report["k_star"])) <= 1e-12
 
     def test_stability_classification(self):
         report = find_equilibria(REFERENCE_PARAMS)
-        assert report.k_zero_stability == UNSTABLE
-        assert report.k_star_stability == STABLE
+        assert report["k_zero_stability"] == UNSTABLE
+        assert report["k_star_stability"] == STABLE
 
     def test_derivative_at_star(self):
         params = REFERENCE_PARAMS
         report = find_equilibria(params)
-        assert report.derivative_at_star == pytest.approx(
+        assert report["derivative_at_star"] == pytest.approx(
             params.q * (params.mu - 1.0), rel=1e-10
         )
-        assert report.derivative_at_star < 0
+        assert report["derivative_at_star"] < 0
 
     def test_derivative_at_star_when_k_star_underflows(self):
         # k_star = (1e-292)**100 is 0.0; p*mu*k**(mu-1) - q at k = 0.0 raised ZeroDivisionError
         params = ModelParams(p=1e8, q=1e300, mu=0.99)
         report = find_equilibria(params)
-        assert report.k_star == 0.0
-        assert report.derivative_at_star == params.q * (params.mu - 1.0)
-        assert report.k_star_stability == STABLE
+        assert report["k_star"] == 0.0
+        assert report["derivative_at_star"] == params.q * (params.mu - 1.0)
+        assert report["k_star_stability"] == STABLE
 
     def test_inflection_candidate_below_equilibrium(self):
         params = REFERENCE_PARAMS
         report = find_equilibria(params)
         expected = (params.p * params.mu / params.q) ** (1.0 / (1.0 - params.mu))
-        assert report.inflection_candidate == pytest.approx(expected, rel=1e-12)
-        assert report.inflection_candidate < report.k_star
+        assert report["inflection_candidate"] == pytest.approx(expected, rel=1e-12)
+        assert report["inflection_candidate"] < report["k_star"]
 
     def test_scale_equivariance(self):
-        base = find_equilibria(REFERENCE_PARAMS).k_star
-        scaled = find_equilibria(REFERENCE_PARAMS.with_(p=3 * 0.5, q=3 * 0.2)).k_star
+        base = find_equilibria(REFERENCE_PARAMS)["k_star"]
+        scaled = find_equilibria(REFERENCE_PARAMS.with_(p=3 * 0.5, q=3 * 0.2))["k_star"]
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_doubling_p(self):
         params = REFERENCE_PARAMS
-        base = find_equilibria(params).k_star
-        doubled = find_equilibria(params.with_(p=2 * params.p)).k_star
+        base = find_equilibria(params)["k_star"]
+        doubled = find_equilibria(params.with_(p=2 * params.p))["k_star"]
         assert doubled == pytest.approx(base * 2.0 ** (1.0 / (1.0 - params.mu)), rel=1e-12)
 
 

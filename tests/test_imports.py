@@ -78,7 +78,7 @@ def test_every_export_resolves_as_attribute():
     out = run_fresh("import json, solowfrac\n"
                     "print(json.dumps([type(getattr(solowfrac, n)).__name__"
                     " for n in solowfrac.__all__]))\n")
-    assert len(json.loads(out)) == len(solowfrac.__all__) == 21
+    assert len(json.loads(out)) == len(solowfrac.__all__) == 19
     assert not hasattr(solowfrac, "no_such_name")
 
 

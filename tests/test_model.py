@@ -38,15 +38,11 @@ class TestModelParams:
 
 def _record_factories():
     """Record class name -> a builder; each call builds a fresh, equal record."""
-    from solowfrac.equilibrium import find_equilibria
-    from solowfrac.series import build_series
     from solowfrac.sweep import PRESETS, SweepGrid
     from solowfrac.transforms import VerificationReport
 
     return {
         "ModelParams": lambda: ModelParams(p=0.5, q=0.2, mu=1.0 / 3.0),
-        "SeriesSolution": lambda: build_series(REFERENCE_PARAMS, 3),
-        "EquilibriumReport": lambda: find_equilibria(REFERENCE_PARAMS),
         "SweepConfig": lambda: PRESETS["fig-ktq"].with_(),
         "SweepGrid": lambda: SweepGrid(config=PRESETS["fig-ktq"],
                                        rows=((0.0, 0.1, 1.0, True, "series"),)),
@@ -123,7 +119,6 @@ class TestRecords:
         assert all(type(build()).__name__ == name for name, build in make.items())
         cases = [
             (make["ModelParams"](), {"q": -1.0}, "q must be positive, got -1.0"),
-            (make["SeriesSolution"](), {"order": 4}, "coefficient count must equal order + 1"),
             (make["SweepConfig"](), {"axis": "k0"},
              "axis must be one of ('p', 'q', 'mu', 'alpha'), got 'k0'"),
             (make["SweepConfig"](), {"axis": "mu", "axis_range": (0.1, 1.5, 21)},
@@ -150,12 +145,11 @@ class TestRecords:
     def test_equilibrium_report_as_dict(self):
         from solowfrac.equilibrium import find_equilibria
 
-        report = find_equilibria(REFERENCE_PARAMS)
-        assert report.as_dict() == {
+        params = REFERENCE_PARAMS
+        assert find_equilibria(params) == {
             "k_zero_stability": "unstable",
-            "k_star": report.k_star,
+            "k_star": params.k_star,
             "k_star_stability": "asymptotically stable",
-            "derivative_at_star": report.derivative_at_star,
-            "inflection_candidate": report.inflection_candidate,
+            "derivative_at_star": params.q * (params.mu - 1.0),
+            "inflection_candidate": (params.p * params.mu / params.q) ** (1.0 / (1.0 - params.mu)),
         }
-        assert report.k_star == REFERENCE_PARAMS.k_star

@@ -12,7 +12,7 @@ from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
 import solowfrac.series
 import solowfrac.special
-from solowfrac.series import MAX_ORDER, SeriesSolution, build_series, check_order, eval_series
+from solowfrac.series import MAX_ORDER, build_series, check_order, eval_series
 from solowfrac.special import ln_gamma
 
 
@@ -77,7 +77,7 @@ def _assert_matches_reference(params):
         if failed_at > 1:
             full = _series_reference(params, failed_at - 1)
     for order in range(1, MAX_ORDER + 1):
-        got = _outcome(lambda p, n: build_series(p, n).coeffs, params, order)
+        got = _outcome(lambda p, n: build_series(p, n), params, order)
         want = full[:order + 1] if order < failed_at else _outcome(_series_reference,
                                                                    params, order)
         assert got == want, (params, order)
@@ -116,14 +116,14 @@ class TestSeriesReference:
         assert str(exc.value) == ("series coefficient at order 7 is -inf: "
                                   "the series overflows double precision")
         assert _outcome(_series_reference, params, 8) == (ArithmeticError, str(exc.value))
-        assert build_series(params, 6).coeffs == _series_reference(params, 6)
+        assert build_series(params, 6) == _series_reference(params, 6)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.7, 0.05, 1e-3])
     def test_equilibrium_start_matches_reference(self, alpha):
         params = REFERENCE_PARAMS.with_(alpha=alpha)
         params = params.with_(k0=params.k_star)
         _assert_matches_reference(params)
-        assert build_series(params, MAX_ORDER).coeffs[1:] == (0.0,) * MAX_ORDER
+        assert build_series(params, MAX_ORDER)[1:] == (0.0,) * MAX_ORDER
 
     @pytest.mark.parametrize("order", [1, 2, 5, 32, MAX_ORDER])
     def test_one_ln_gamma_and_one_miller_step_per_order(self, monkeypatch, order):
@@ -147,30 +147,30 @@ class TestBuildSeries:
         rng = random.Random(3)
         for _ in range(10):
             params = random_params(rng, alpha=rng.choice([0.5, 0.75, 1.0]))
-            sol = build_series(params, 3)
+            coeffs = build_series(params, 3)
             b = params.p * params.k0 ** params.mu - params.q * params.k0
             expected = b / math.exp(ln_gamma(params.alpha + 1.0))
-            assert sol.coeffs[1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert coeffs[1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_equilibrium_start_is_exactly_constant(self):
         params = REFERENCE_PARAMS.with_(alpha=0.7)
         params = params.with_(k0=params.k_star)
-        sol = build_series(params, 10)
-        assert all(c == 0.0 for c in sol.coeffs[1:])
+        coeffs = build_series(params, 10)
+        assert all(c == 0.0 for c in coeffs[1:])
 
     def test_known_classical_solution(self):
         # p=2, q=1, mu=1/2: k(t) = (2 - exp(-t/2))^2 = 1 + t + 0*t^2 - t^3/12 + ...
         params = ModelParams(p=2.0, q=1.0, mu=0.5, alpha=1.0, k0=1.0)
-        sol = build_series(params, 4)
-        assert sol.coeffs[1] == pytest.approx(1.0, rel=1e-13)
-        assert sol.coeffs[2] == pytest.approx(0.0, abs=1e-14)
-        assert sol.coeffs[3] == pytest.approx(-1.0 / 12.0, rel=1e-12)
+        coeffs = build_series(params, 4)
+        assert coeffs[1] == pytest.approx(1.0, rel=1e-13)
+        assert coeffs[2] == pytest.approx(0.0, abs=1e-14)
+        assert coeffs[3] == pytest.approx(-1.0 / 12.0, rel=1e-12)
 
     def test_reduces_to_classical_taylor(self):
         rng = random.Random(17)
         for _ in range(50):
             params = random_params(rng)
-            series = build_series(params, 3).coeffs
+            series = build_series(params, 3)
             closed = classical_taylor_check(params, 3)
             for got, want in zip(series, closed):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -179,7 +179,7 @@ class TestBuildSeries:
         rng = random.Random(23)
         for _ in range(50):
             params = random_params(rng, alpha=rng.uniform(0.3, 1.0))
-            series = build_series(params, 3).coeffs
+            series = build_series(params, 3)
             closed = fractional_low_order_coeffs(params)
             for got, want in zip(series, closed):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
@@ -188,7 +188,7 @@ class TestBuildSeries:
         # the curvature contribution inside c3 carries the exact factor
         # Gamma(2a+1)/Gamma(a+1)^2, which equals 2 at a=1 (classical Taylor)
         params = REFERENCE_PARAMS.with_(alpha=0.6)
-        c3 = build_series(params, 3).coeffs[3]
+        c3 = build_series(params, 3)[3]
         p, q, mu, k0 = params.p, params.q, params.mu, params.k0
         b = p * k0 ** mu - q * k0
         d = p * mu * k0 ** (mu - 1.0) - q
@@ -204,8 +204,8 @@ class TestBuildSeries:
         params = REFERENCE_PARAMS
         below = build_series(params.with_(k0=0.5 * params.k_star), 2)
         above = build_series(params.with_(k0=2.0 * params.k_star), 2)
-        assert below.coeffs[1] > 0
-        assert above.coeffs[1] < 0
+        assert below[1] > 0
+        assert above[1] < 0
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -214,36 +214,36 @@ class TestBuildSeries:
             build_series(REFERENCE_PARAMS, 65)
 
     def test_high_order_stays_finite(self):
-        sol = build_series(REFERENCE_PARAMS.with_(alpha=0.6), 64)
-        assert all(math.isfinite(c) for c in sol.coeffs)
+        coeffs = build_series(REFERENCE_PARAMS.with_(alpha=0.6), 64)
+        assert all(math.isfinite(c) for c in coeffs)
 
 
 class TestEvalSeries:
     def test_at_zero(self):
-        sol = build_series(REFERENCE_PARAMS, 5)
-        value, trusted = eval_series(sol, 0.0)
+        coeffs = build_series(REFERENCE_PARAMS, 5)
+        value, trusted = eval_series(coeffs, REFERENCE_PARAMS.alpha, 0.0)
         assert value == REFERENCE_PARAMS.k0
         assert trusted
 
     def test_equilibrium_constant_and_trusted(self):
         params = REFERENCE_PARAMS.with_(k0=REFERENCE_PARAMS.k_star)
-        sol = build_series(params, 6)
+        coeffs = build_series(params, 6)
         for t in (0.0, 0.5, 2.0, 10.0):
-            value, trusted = eval_series(sol, t)
+            value, trusted = eval_series(coeffs, params.alpha, t)
             assert value == params.k0
             assert trusted
 
     def test_against_exact_classical(self):
         params = ModelParams(p=2.0, q=1.0, mu=0.5, alpha=1.0, k0=1.0)
-        sol = build_series(params, 5)
-        value, trusted = eval_series(sol, 0.5)
+        coeffs = build_series(params, 5)
+        value, trusted = eval_series(coeffs, params.alpha, 0.5)
         exact = (2.0 - math.exp(-0.25)) ** 2
         assert trusted
         assert value == pytest.approx(exact, abs=1e-3)
 
     def test_untrusted_far_out(self):
-        sol = build_series(REFERENCE_PARAMS, 5)
-        _, trusted = eval_series(sol, 50.0)
+        coeffs = build_series(REFERENCE_PARAMS, 5)
+        _, trusted = eval_series(coeffs, REFERENCE_PARAMS.alpha, 50.0)
         assert not trusted
 
     def test_trusted_points_within_one_percent_on_figure_box(self):
@@ -256,26 +256,26 @@ class TestEvalSeries:
                 p=rng.uniform(0.2, 1.0), q=rng.uniform(0.1, 0.4),
                 mu=rng.uniform(0.1, 0.9), alpha=1.0, k0=rng.uniform(0.5, 2.0),
             )
-            sol = build_series(params, 5)
+            coeffs = build_series(params, 5)
             for _ in range(20):
                 t = rng.uniform(0.0, 2.0)
-                value, trusted = eval_series(sol, t)
+                value, trusted = eval_series(coeffs, params.alpha, t)
                 if trusted:
                     exact = exact_classical_value(params, t)
                     worst = max(worst, abs(value - exact) / exact)
         assert worst <= 1e-2
 
     def test_rejects_negative_time(self):
-        sol = build_series(REFERENCE_PARAMS, 5)
+        coeffs = build_series(REFERENCE_PARAMS, 5)
         with pytest.raises(ValueError):
-            eval_series(sol, -0.1)
+            eval_series(coeffs, REFERENCE_PARAMS.alpha, -0.1)
 
     def test_oracle_agreement_classical(self):
-        sol = build_series(REFERENCE_PARAMS, 8)
+        coeffs = build_series(REFERENCE_PARAMS, 8)
         worst = 0.0
         for i in range(101):
             t = i / 100.0
-            value, _ = eval_series(sol, t)
+            value, _ = eval_series(coeffs, REFERENCE_PARAMS.alpha, t)
             exact = exact_classical_value(REFERENCE_PARAMS, t)
             worst = max(worst, abs(value - exact) / exact)
         assert worst <= 1e-4
@@ -283,19 +283,36 @@ class TestEvalSeries:
     @pytest.mark.parametrize("alpha", [0.6, 0.8])
     def test_oracle_agreement_fractional(self, alpha):
         params = REFERENCE_PARAMS.with_(alpha=alpha)
-        sol = build_series(params, 8)
+        coeffs = build_series(params, 8)
         values = solve_abm_fractional(params, t_end=0.5, steps=1024)
         worst = 0.0
         for i, k in enumerate(values):
-            value, _ = eval_series(sol, i * (0.5 / 1024))
+            value, _ = eval_series(coeffs, params.alpha, i * (0.5 / 1024))
             worst = max(worst, abs(value - k) / k)
         assert worst <= 1e-2
 
     def test_continuity_in_alpha_near_one(self):
         t = 0.4
-        classical, _ = eval_series(build_series(REFERENCE_PARAMS, 8), t)
-        nearly, _ = eval_series(build_series(REFERENCE_PARAMS.with_(alpha=1.0 - 1e-3), 8), t)
+        classical, _ = eval_series(build_series(REFERENCE_PARAMS, 8), 1.0, t)
+        near_one = REFERENCE_PARAMS.with_(alpha=1.0 - 1e-3)
+        nearly, _ = eval_series(build_series(near_one, 8), near_one.alpha, t)
         assert abs(nearly - classical) <= 1e-3
+
+    @given(st.floats(min_value=0.0, max_value=0.3))
+    @settings(max_examples=30, deadline=None)
+    def test_eval_monotone_below_equilibrium_small_t(self, t):
+        # below equilibrium the capital stock rises on the trusted region
+        coeffs = build_series(REFERENCE_PARAMS, 8)
+        v0, _ = eval_series(coeffs, REFERENCE_PARAMS.alpha, t)
+        v1, _ = eval_series(coeffs, REFERENCE_PARAMS.alpha, t + 0.05)
+        assert v1 > v0
+
+    @pytest.mark.parametrize("t", [5e159, 1e160, 1e300])
+    def test_infinite_sum_is_never_trusted(self, t):
+        # the scale max(k0, |sum|) is inf too, so the last-term test alone passes
+        value, trusted = eval_series(build_series(REFERENCE_PARAMS, 2), 1.0, t)
+        assert value == -math.inf
+        assert not trusted
 
 
 class TestClassicalTaylorCheck:
@@ -313,17 +330,3 @@ class TestClassicalTaylorCheck:
         d = rhs_derivative(params, params.k0)
         assert classical_taylor_check(params)[2] == pytest.approx(b * d / 2.0, rel=1e-14)
 
-
-class TestSeriesSolutionType:
-    def test_coefficient_count_enforced(self):
-        with pytest.raises(ValueError):
-            SeriesSolution(params=REFERENCE_PARAMS, order=3, coeffs=(1.0, 2.0))
-
-    @given(st.floats(min_value=0.0, max_value=0.3))
-    @settings(max_examples=30, deadline=None)
-    def test_eval_monotone_below_equilibrium_small_t(self, t):
-        # below equilibrium the capital stock rises on the trusted region
-        sol = build_series(REFERENCE_PARAMS, 8)
-        v0, _ = eval_series(sol, t)
-        v1, _ = eval_series(sol, t + 0.05)
-        assert v1 > v0

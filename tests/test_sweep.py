@@ -282,3 +282,9 @@ class TestSidecarAndPlot:
         single = gnuplot_script("out.csv", small_config())
         assert single.count("'out.csv'") == 1
         assert "'exact'" not in single
+
+    def test_gnuplot_doubles_a_quote_in_the_path(self):
+        # inside a single-quoted gnuplot string, '' stands for '
+        script = gnuplot_script("it's.csv", small_config(method="both"))
+        assert script.count("'it''s.csv' every ::1 using") == 2
+        assert "'it's" not in script
