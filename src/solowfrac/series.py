@@ -100,11 +100,13 @@ def eval_series(coeffs: tuple[float, ...], alpha: float, t: float) -> tuple[floa
     """Evaluate sum_n coeffs[n] * t**(n*alpha), the truncated series, at t >= 0.
 
     Returns (value, trusted).  The evaluation is trusted when the sum is
-    finite and the last retained term is small against the solution scale:
+    finite and the last retained term is small against the value itself:
 
-        |c_N * t**(N*alpha)| / max(|c_0|, |sum|) <= TRUST_TOL,
+        |c_N * t**(N*alpha)| <= TRUST_TOL * |sum|.
 
-    with c_0 = k0.  Untrusted values are returned, not rejected.
+    Against the value, not against k0: on a decaying solution the value
+    falls far below k0, and a term small beside k0 is not small beside it.
+    Untrusted values are returned, not rejected.
     """
     if t < 0:
         raise ValueError(f"series evaluation requires t >= 0, got {t}")
@@ -118,6 +120,5 @@ def eval_series(coeffs: tuple[float, ...], alpha: float, t: float) -> tuple[floa
         last_term = c_n * power
         total += last_term
         power *= x
-    scale = max(abs(coeffs[0]), abs(total))
-    trusted = math.isfinite(total) and abs(last_term) <= TRUST_TOL * scale
+    trusted = math.isfinite(total) and abs(last_term) <= TRUST_TOL * abs(total)
     return total, trusted

@@ -137,14 +137,14 @@ def test_criterion_4_fractional_low_order_structure():
 
 def test_criterion_5_transform_identity_suite():
     t0 = time.perf_counter()
-    reports = run_all_verifications()
+    reports = run_all_verifications(REFERENCE_PARAMS.with_(alpha=0.8))
     elapsed = time.perf_counter() - t0
-    worst = max(rep.max_deviation for rep in reports)
-    all_pass = all(rep.passed for rep in reports)
+    worst = max(rep["max_deviation"] for rep in reports)
+    all_pass = all(rep["passed"] for rep in reports)
     ok = all_pass and worst <= 1e-5 and elapsed < 10.0
     _emit(5, ok, f"{len(reports)} identity groups, worst deviation {worst:.2e} "
                  f"(tol 1e-5); {elapsed:.2f}s < 10s")
-    assert ok, [rep.as_dict() for rep in reports if not rep.passed]
+    assert ok, [rep for rep in reports if not rep["passed"]]
 
 
 def test_criterion_6_adomian_oracle_equivalence():

@@ -15,7 +15,7 @@ from reference_helpers import build_parser, parse_csv
 from solowfrac.cli import CHOICES, COMMAND_KEYS, FLAG_KINDS, SUMMARY, main, parse_args
 from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.sweep import CSV_HEADER, PRESETS, SweepConfig
-from solowfrac.transforms import VerificationReport, run_all_verifications
+from solowfrac.transforms import _report, run_all_verifications
 
 
 def run_cli(capsys, *argv):
@@ -194,15 +194,6 @@ class TestConfigFile:
         assert out == ""
         key = line.split()[0]
         assert err == f"error: {cfg}:2: {command!r} does not read key {key!r}\n"
-
-    def test_unknown_method_is_usage_error(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("method = bogus\n")
-        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err == (f"error: {cfg}:1: bad value for 'method': invalid choice 'bogus'; "
-                       "choose from series, abm, exact, both\n")
 
     @pytest.mark.parametrize("command, key, value", [
         ("solve", "method", "zz"), ("sweep", "preset", "nope"), ("sweep", "axis", "k0")])
@@ -482,24 +473,50 @@ class TestVerify:
         assert json.loads(out) == {
             "params": {"p": 0.7, "q": params.q, "mu": params.mu, "alpha": 0.8, "k0": params.k0},
             "passed": True,
-            "reports": [{"name": rep.name, "tol": rep.tol, "passed": True,
-                         "max_deviation": rep.max_deviation,
-                         "rows": [[label, dev] for label, dev in rep.rows]}
+            "reports": [{**rep, "rows": [[label, dev] for label, dev in rep["rows"]]}
                         for rep in run_all_verifications(params)],
         }
         _, bare, _ = run_cli(capsys, "verify", "--json")
         assert json.loads(bare)["params"]["p"] == REFERENCE_PARAMS.p != 0.7
 
-    def test_json_failure_exits_1(self, capsys, monkeypatch):
-        failing = VerificationReport(name="broken", tol=1e-5, rows=[("u=0.5", 1.0)])
+    # One passing and one failing report; only the failing one's rows above tol are listed.
+    MIXED = (("fine", [("u=0.1", 1e-7)]),
+             ("broken", [("u=0.1", 2e-6), ("u=0.5", -1.0), ("u=1", 3e-5)]))
+
+    def _mixed(self, monkeypatch):
         monkeypatch.setattr("solowfrac.transforms.run_all_verifications",
-                            lambda params: [failing])
+                            lambda params: [_report(name, rows) for name, rows in self.MIXED])
+
+    def test_text_failure_lists_failing_rows_and_exits_1(self, capsys, monkeypatch):
+        self._mixed(monkeypatch)
+        code, out, err = run_cli(capsys, "verify")
+        assert (code, err) == (1, "")
+        assert out == (f"PASS  {'fine':<42s} max deviation 1.000e-07 (tol 1.0e-05)\n"
+                       f"FAIL  {'broken':<42s} max deviation 1.000e+00 (tol 1.0e-05)\n"
+                       "failing identities:\n"
+                       "  broken: u=0.5 deviation 1.000e+00\n"
+                       "  broken: u=1 deviation 3.000e-05\n")
+
+    def test_json_failure_exits_1(self, capsys, monkeypatch):
+        self._mixed(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", "--json")
         assert code == 1
         data = json.loads(out)
         assert data["passed"] is False
-        assert data["reports"] == [{"name": "broken", "tol": 1e-5, "passed": False,
-                                    "max_deviation": 1.0, "rows": [["u=0.5", 1.0]]}]
+        assert data["reports"] == [
+            {"name": "fine", "tol": 1e-5, "passed": True, "max_deviation": 1e-7,
+             "rows": [["u=0.1", 1e-7]]},
+            {"name": "broken", "tol": 1e-5, "passed": False, "max_deviation": 1.0,
+             "rows": [["u=0.1", 2e-6], ["u=0.5", 1.0], ["u=1", 3e-5]]},
+        ]
+
+    @pytest.mark.parametrize("flag, value", [("--p", "1e8"), ("--k0", "1e300")])
+    def test_first_derivative_rows_are_relative_at_large_magnitudes(self, capsys, flag, value):
+        # both sides of S[k'](u) = (S[k](u) - k0)/u scale with k: absolute rows
+        # failed here with 1.465e-03 and 2.561e+287
+        code, out, err = run_cli(capsys, "verify", flag, value)
+        assert (code, err) == (0, "")
+        assert all(line.startswith("PASS") for line in out.splitlines())
 
 
 class TestCompare:

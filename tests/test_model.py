@@ -39,21 +39,16 @@ class TestModelParams:
 def _record_factories():
     """Record class name -> a builder; each call builds a fresh, equal record."""
     from solowfrac.sweep import PRESETS, SweepGrid
-    from solowfrac.transforms import VerificationReport
 
     return {
         "ModelParams": lambda: ModelParams(p=0.5, q=0.2, mu=1.0 / 3.0),
         "SweepConfig": lambda: PRESETS["fig-ktq"].with_(),
         "SweepGrid": lambda: SweepGrid(config=PRESETS["fig-ktq"],
                                        rows=((0.0, 0.1, 1.0, True, "series"),)),
-        "VerificationReport": lambda: VerificationReport(name="unit", tol=1e-5,
-                                                         rows=[("u=1", 0.0)]),
     }
 
 
 RECORDS = _record_factories()
-# Every record but VerificationReport, whose rows list grows through `add`.
-FROZEN = {name: make for name, make in RECORDS.items() if name != "VerificationReport"}
 each_record = pytest.mark.parametrize("make", RECORDS.values(), ids=list(RECORDS))
 
 
@@ -64,23 +59,11 @@ class TestRecords:
         assert a is not b
         assert a == b and not a != b
 
-    @pytest.mark.parametrize("make", FROZEN.values(), ids=list(FROZEN))
+    @each_record
     def test_hash_by_value(self, make):
         a, b = make(), make()
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-
-    def test_verification_report_grows_and_is_unhashable(self):
-        from solowfrac.transforms import VerificationReport
-
-        first, second = VerificationReport("x", 1e-5), VerificationReport("x", 1e-5)
-        first.add("signed", -2e-3)
-        assert first.rows == [("signed", 2e-3)] and second.rows == []
-        assert first != second
-        second.add("signed", 2e-3)
-        assert first == second
-        with pytest.raises(TypeError):
-            hash(first)
 
     @each_record
     def test_unequal_across_types(self, make):

@@ -246,6 +246,14 @@ class TestEvalSeries:
         _, trusted = eval_series(coeffs, REFERENCE_PARAMS.alpha, 50.0)
         assert not trusted
 
+    def test_last_term_measured_against_the_value_not_k0(self):
+        # k decays from 1 towards ~1e-600: at t = 2 the order-8 last term is
+        # 0.64% of k0 but 4.7% of the value, which is 0.87% off the exact one
+        params = ModelParams(p=1e-300, q=1.0, mu=0.5, alpha=1.0, k0=1.0)
+        value, trusted = eval_series(build_series(params, 8), 1.0, 2.0)
+        assert abs(value - exact_classical_value(params, 2.0)) > 8e-3 * value
+        assert not trusted
+
     def test_trusted_points_within_one_percent_on_figure_box(self):
         # TRUST_TOL is set from this box: the presets' axes at alpha = 1 and
         # order 5.  A last-term tolerance of 0.05 fails it (2.6e-2 here).
@@ -309,7 +317,7 @@ class TestEvalSeries:
 
     @pytest.mark.parametrize("t", [5e159, 1e160, 1e300])
     def test_infinite_sum_is_never_trusted(self, t):
-        # the scale max(k0, |sum|) is inf too, so the last-term test alone passes
+        # the scale |sum| is inf too, so the last-term test alone passes
         value, trusted = eval_series(build_series(REFERENCE_PARAMS, 2), 1.0, t)
         assert value == -math.inf
         assert not trusted
