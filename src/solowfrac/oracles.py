@@ -13,13 +13,14 @@ floats:
   sums is the builtin `sum`, oldest term first: plain left-to-right addition
   up to CPython 3.11 (3.12 compensates, ~1 ulp off).  On runs longer than
   EXACT_STEPS steps the older terms go through a sum of exponentials (Jiang,
-  Zhang, Zhang & Zhang, Commun. Comput. Phys. 21(3), 2017): 52 modes at
-  513 steps, 64 at 2,048 and 88 at 16,384, each updated once per step, so a
-  run costs O(steps * (WINDOW + modes)) instead of O(steps^2).  Over alpha
-  in (0, 1] the modes reproduce the old terms' weights to <= 6.1e-13
-  relative (measured up to 16,384 steps; 65,536 steps reach 3.6e-12), and a
-  run stays within ~1e-11 relative of the exact full-history sum (measured
-  up to 4,096 steps).
+  Zhang, Zhang & Zhang, Commun. Comput. Phys. 21(3), 2017), whose nodes
+  come from one Gauss rule in ln s (Beylkin & Monzon, Appl. Comput. Harmon.
+  Anal. 28(2), 2010): 37 modes at 513 steps, 44 at 2,048 and 56 at 16,384,
+  each updated once per step, so a run costs O(steps * (WINDOW + modes))
+  instead of O(steps^2).  Over alpha in (0, 1] the modes reproduce the old
+  terms' weights to <= 6.0e-13 relative (measured up to 16,384 steps;
+  65,536 steps reach 3.6e-12), and a run stays within ~1e-11 relative of the
+  exact full-history sum (measured up to 4,096 steps).
 """
 
 from __future__ import annotations
@@ -36,27 +37,26 @@ __all__ = ["exact_classical_value", "solve_abm_fractional"]
 
 MIN_ABM_STEPS = 16
 # Exact weights for memory terms younger than WINDOW steps.  A 2,048-step
-# run at alpha = 0.8 took 31.9 ms at 128, 27.1 at 64, 23.2 at 32 and 24.5 at
-# 16 (2 * WINDOW + 3 * modes = 412, 320, 256 and 260 products per step;
-# below 32 the modes need one more panel).  Runs of at most EXACT_STEPS steps
-# keep their whole history exact and build no modes.  With the modes against
-# without, measured: 300 steps 2% slower, 400 16% faster, 512 37% faster.
-# EXACT_STEPS stays 512: it keeps every sweep and compare refinement
-# (< 512 steps) bit for bit, and those runs (~280 steps) would gain nothing.
-WINDOW = 32
+# run at alpha = 0.3 and 0.8 took a median 28.8 ms at 16 against 30.1 at 32
+# (66 of 80 interleaved calls faster): 164 against 184 products per step
+# (2 * WINDOW + 3 * modes).  Runs of at most EXACT_STEPS steps keep their
+# whole history exact and build no modes; with the modes they would run
+# 16-22% faster at 300 steps and 50% at 512, but EXACT_STEPS stays 512 to
+# keep every sweep and compare refinement (< 512 steps) bit for bit.
+WINDOW = 16
 EXACT_STEPS = 512
-# History quadrature: a Gauss-Jacobi rule on [0, HEAD_SPAN / steps], then
-# Gauss-Legendre panels that grow by PANEL_GROWTH up to HISTORY_CUTOFF / WINDOW,
-# beyond which e^(-WINDOW x) < 5e-15.  Against 40-digit weights, 16 Jacobi
-# nodes over span 27 and 12-node panels with growth 3 reproduced every b_m and
-# c_m (m in [WINDOW, steps]) to <= 6.1e-13 relative up to 16,384 steps, where
-# the rounding of e^(-x) raised to the age sets the floor (18 nodes: 5.3e-13).
-# Span 9 costs one more panel, span 81 passes only with 28 nodes, and
-# 10-node panels, or growth 4, left 1e-11.
+# History quadrature: a Gauss-Jacobi rule on [0, HEAD_SPAN / steps], then one
+# Gauss-Legendre rule in y = ln s up to HISTORY_CUTOFF / WINDOW, beyond which
+# e^(-WINDOW x) < 5e-15.  In y the integrand e^(-m s) g(s) s^(1-alpha) is
+# smooth and slowly varying, so the rule takes ceil(LOG_NODE_DENSITY * width)
+# nodes for the width of its y-interval: 21 at 513 steps, 28 at 2,048 and 40
+# at 16,384.  Against 40-digit weights, 16 Jacobi nodes over span 27 and that
+# rule reproduced every b_m and c_m (m in [WINDOW, steps]) to <= 6.0e-13
+# relative up to 16,384 steps, where the rounding of e^(-x) raised to the age
+# sets the floor.  A density of 5 left 1.4e-12 at 513 steps, and 4.5 2.9e-11.
 JACOBI_NODES = 16
 HEAD_SPAN = 27.0
-PANEL_NODES = 12
-PANEL_GROWTH = 3.0
+LOG_NODE_DENSITY = 5.5
 HISTORY_CUTOFF = 33.0
 
 
@@ -155,8 +155,10 @@ def _history_modes(alpha: float, steps: int) -> tuple[list[float], list[float], 
     integrals over s^(-alpha) / Gamma(1 - alpha):
     b_m = alpha * int e^(-m s) g(s) s^(-alpha) ds / Gamma(1 - alpha) and
     c_m = alpha (alpha+1) * int e^(-(m-1) s) g(s)^2 s^(-alpha) ds / Gamma(1 - alpha),
-    g(s) = (1 - e^(-s)) / s, whose nodes are the modes.  At alpha = 1,
-    b_m = 1 and c_m = 2: one mode with x = 0.
+    g(s) = (1 - e^(-s)) / s, whose nodes are the modes: a Gauss-Jacobi rule
+    for the s^(-alpha) singularity near 0, then one Gauss-Legendre rule in
+    y = ln s, where ds = s dy.  At alpha = 1, b_m = 1 and c_m = 2: one mode
+    with x = 0.
     """
     if alpha == 1.0:
         return [1.0], [1.0], [2.0]
@@ -164,15 +166,13 @@ def _history_modes(alpha: float, steps: int) -> tuple[list[float], list[float], 
     t, w = _jacgauss(JACOBI_NODES, -alpha)
     nodes = [0.5 * top * (1.0 + ti) for ti in t]
     weights = [(0.5 * top) ** (1.0 - alpha) * wi for wi in w]
-    t, w = _leggauss(PANEL_NODES)
-    lo = top
-    while lo < HISTORY_CUTOFF / WINDOW:
-        half = 0.5 * (PANEL_GROWTH - 1.0) * lo
-        for ti, wi in zip(t, w):
-            s = lo + half * (1.0 + ti)
-            nodes.append(s)
-            weights.append(half * wi * s ** -alpha)
-        lo *= PANEL_GROWTH
+    lo, hi = math.log(top), math.log(HISTORY_CUTOFF / WINDOW)
+    half = 0.5 * (hi - lo)
+    t, w = _leggauss(math.ceil(LOG_NODE_DENSITY * (hi - lo)))
+    for ti, wi in zip(t, w):
+        s = math.exp(lo + half * (1.0 + ti))
+        nodes.append(s)
+        weights.append(half * wi * s ** (1.0 - alpha))
     decay, wb, wc = [], [], []
     scale = alpha / math.gamma(1.0 - alpha)
     for s, weight in zip(nodes, weights):

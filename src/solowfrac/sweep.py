@@ -203,19 +203,18 @@ def run_sweep(config: SweepConfig) -> SweepGrid:
     return SweepGrid(config=config, rows=rows, failures=failures)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
 def rows_to_csv(rows: list[Row], axis: bool = True) -> str:
     """CSV text: header `t,axis,k,trusted,method`, LF endings, 17 significant digits.
 
     Single solves pass axis=False: their axis column is fixed, so it is dropped.
     """
     lines = [CSV_HEADER if axis else "t,k,trusted,method"]
-    for t, v, k, trusted, method in rows:
-        head = f"{_fmt(t)},{_fmt(v)}" if axis else _fmt(t)
-        lines.append(f"{head},{_fmt(k)},{'true' if trusted else 'false'},{method}")
+    if axis:
+        lines += ["%.17g,%.17g,%.17g,%s,%s" % (t, v, k, "true" if trusted else "false", method)
+                  for t, v, k, trusted, method in rows]
+    else:
+        lines += ["%.17g,%.17g,%s,%s" % (t, k, "true" if trusted else "false", method)
+                  for t, _, k, trusted, method in rows]
     return "\n".join(lines) + "\n"
 
 

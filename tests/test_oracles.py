@@ -216,7 +216,7 @@ class TestABM:
 class TestABMReference:
     # Runs of at most EXACT_STEPS steps keep the whole history exact.
     @pytest.mark.parametrize("steps, count", [
-        (16, 12), (17, 12), (WINDOW, 4), (WINDOW + 1, 4), (128, 4), (129, 4), (280, 6),
+        (16, 12), (17, 12), (32, 4), (33, 4), (128, 4), (129, 4), (280, 6),
         (EXACT_STEPS, 2),
     ])
     def test_bit_identical_to_double_loop(self, steps, count):
@@ -278,7 +278,9 @@ class TestHistoryKernel:
 
     ALPHAS = [1e-4, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0 - 1e-9, 1.0]
 
-    @pytest.mark.parametrize("steps", [EXACT_STEPS + 1, 2048, 16384])
+    # 1,000 and 4,096 steps check the rounded-up node count of the ln s rule
+    # at lengths between the others.
+    @pytest.mark.parametrize("steps", [EXACT_STEPS + 1, 1000, 2048, 4096, 16384])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_modes_reproduce_weights(self, steps, alpha):
         decay, wb, wc = _history_modes(alpha, steps)
@@ -297,8 +299,8 @@ class TestHistoryKernel:
         assert worst <= 1e-12
 
     # A run pays 2 * WINDOW + 3 * modes products per step; these caps keep
-    # that at most 256 at 2,048 steps.
-    @pytest.mark.parametrize("steps, most", [(2048, 64), (16384, 88)])
+    # that at most 2 * 16 + 3 * 44 = 164 at 2,048 steps.
+    @pytest.mark.parametrize("steps, most", [(2048, 44), (16384, 56)])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_mode_count(self, steps, most, alpha):
         assert len(_history_modes(alpha, steps)[0]) <= most
