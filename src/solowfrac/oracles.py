@@ -40,7 +40,7 @@ MIN_ABM_STEPS = 16
 # (71 of 80 interleaved calls faster): 164 against 184 products per step
 # (2 * WINDOW + 3 * modes).  Runs of at most EXACT_STEPS steps keep their
 # whole history exact and build no modes; with the modes they would run
-# 16-22% faster at 300 steps and 50% at 512, but EXACT_STEPS stays 512 to
+# 25% faster at 300 steps and 54% at 512, but EXACT_STEPS stays 512 to
 # keep every sweep and compare refinement (< 512 steps) bit for bit.
 WINDOW = 16
 EXACT_STEPS = 512
