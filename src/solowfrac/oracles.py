@@ -11,16 +11,16 @@ floats:
   predictor, product-trapezoid corrector, one corrector iteration).  Memory
   terms younger than WINDOW steps take the exact weights, and each of their
   sums is the builtin `sum`, oldest term first: plain left-to-right addition
-  up to CPython 3.11 (3.12 compensates, ~1 ulp off).  On runs longer than
-  EXACT_STEPS steps the older terms go through a sum of exponentials (Jiang,
-  Zhang, Zhang & Zhang, Commun. Comput. Phys. 21(3), 2017), whose nodes
-  come from one Gauss rule in ln s (Beylkin & Monzon, Appl. Comput. Harmon.
-  Anal. 28(2), 2010): 37 modes at 513 steps, 44 at 2,048 and 56 at 16,384,
-  each updated once per step, so a run costs O(steps * (WINDOW + modes))
-  instead of O(steps^2).  Over alpha in (0, 1] the modes reproduce the old
-  terms' weights to <= 6.0e-13 relative (measured up to 16,384 steps;
-  65,536 steps reach 3.6e-12), and a run stays within ~1e-11 relative of the
-  exact full-history sum (measured up to 4,096 steps).
+  up to CPython 3.11 (3.12 compensates, ~1 ulp off).  Older terms go through
+  a sum of exponentials (Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys.
+  21(3), 2017), whose nodes come from one Gauss rule in ln s (Beylkin &
+  Monzon, Appl. Comput. Harmon. Anal. 28(2), 2010): 33 modes at 280 steps,
+  44 at 2,048 and 56 at 16,384, each updated once per step, so a run costs
+  O(steps * (WINDOW + modes)) instead of O(steps^2).  Over alpha in (0, 1]
+  the modes reproduce the old terms' weights to <= 6.0e-13 relative
+  (measured from 17 up to 16,384 steps; 65,536 steps reach 3.6e-12), and a
+  run stays within ~1e-11 relative of the exact full-history sum (measured
+  up to 4,096 steps).
 """
 
 from __future__ import annotations
@@ -35,27 +35,27 @@ from .special import ln_gamma
 __all__ = ["exact_classical_value", "solve_abm_fractional"]
 
 MIN_ABM_STEPS = 16
-# Exact weights for memory terms younger than WINDOW steps.  A 2,048-step
-# run at alpha = 0.3 and 0.8 took 16.5-17.1 ms at 16 against 17.6-17.7 at 32
-# (71 of 80 interleaved calls faster): 164 against 184 products per step
-# (2 * WINDOW + 3 * modes).  Runs of at most EXACT_STEPS steps keep their
-# whole history exact and build no modes; with the modes they would run
-# 25% faster at 300 steps and 54% at 512, but EXACT_STEPS stays 512 to
-# keep every sweep and compare refinement (< 512 steps) bit for bit.
+# Exact weights for memory terms younger than WINDOW steps; older ones go
+# through the modes on every run.  A 2,048-step run at alpha = 0.3 and 0.8
+# took 16.5-17.1 ms at 16 against 17.6-17.7 at 32 (71 of 80 interleaved
+# calls faster): 164 against 184 products per step (2 * WINDOW + 3 * modes).
 WINDOW = 16
-EXACT_STEPS = 512
 # History quadrature: a Gauss-Jacobi rule on [0, HEAD_SPAN / steps], then one
 # Gauss-Legendre rule in y = ln s up to HISTORY_CUTOFF / WINDOW, beyond which
 # e^(-WINDOW x) < 5e-15.  In y the integrand e^(-m s) g(s) s^(1-alpha) is
 # smooth and slowly varying, so the rule takes ceil(LOG_NODE_DENSITY * width)
-# nodes for the width of its y-interval: 21 at 513 steps, 28 at 2,048 and 40
-# at 16,384.  Against 40-digit weights, 16 Jacobi nodes over span 27 and that
-# rule reproduced every b_m and c_m (m in [WINDOW, steps]) to <= 6.0e-13
-# relative up to 16,384 steps, where the rounding of e^(-x) raised to the age
-# sets the floor.  A density of 5 left 1.4e-12 at 513 steps, and 4.5 2.9e-11.
+# nodes for the width of its y-interval, and at least MIN_LOG_NODES: 17 at 280
+# steps, 21 at 513, 28 at 2,048 and 40 at 16,384.  Against 40-digit weights,
+# 16 Jacobi nodes over span 27 and that rule reproduced every b_m and c_m
+# (m in [WINDOW, steps]) to <= 6.0e-13 relative from 17 up to 16,384 steps,
+# where the rounding of e^(-x) raised to the age sets the floor.  A density
+# of 5 left 1.4e-12 at 513 steps, and 4.5 2.9e-11.  Without the floor the
+# 5-9 nodes of a run shorter than 160 steps left up to 1.4e-10 (at 32 steps,
+# alpha = 1e-4); a floor of 12 still left 1.1e-12 at 128 steps.
 JACOBI_NODES = 16
 HEAD_SPAN = 27.0
 LOG_NODE_DENSITY = 5.5
+MIN_LOG_NODES = 16
 HISTORY_CUTOFF = 33.0
 
 
@@ -87,13 +87,11 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[
     """Adams-Bashforth-Moulton solution of the Caputo initial-value problem.
 
     The list of k at t = i * (t_end / steps) for i = 0..steps.  Memory terms
-    younger than WINDOW steps use the exact weights; on runs longer than
-    EXACT_STEPS steps older terms use the exponential modes of
-    `_history_modes`.  Runs of at most EXACT_STEPS steps, and the first
-    WINDOW + 1 steps of any run, are therefore the plain full-history sum;
-    past that a run stays within ~1e-11 relative of it (measured; the tests
-    gate 1e-10).  ArithmeticError when a step leaves capital nonpositive or
-    non-finite.
+    younger than WINDOW steps use the exact weights and older ones the
+    exponential modes of `_history_modes`.  The first WINDOW + 1 steps are
+    therefore the plain full-history sum; past that a run stays within
+    ~1e-11 relative of it (measured; the tests gate 1e-10).  ArithmeticError
+    when a step leaves capital nonpositive or non-finite.
     """
     check_positive("t_end", t_end)
     if steps < MIN_ABM_STEPS:
@@ -107,42 +105,35 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[
 
     k = [params.k0]
     f0 = params.rhs(params.k0)
-    f_tail = []  # f[1:]; f[0] has weights of its own in both rules
-    window = steps if steps <= EXACT_STEPS else WINDOW
-    # Weights b_m = (m+1)^a - m^a for ages window-1..0 and
-    # c_m = (m+1)^(a+1) + (m-1)^(a+1) - 2 m^(a+1) for ages window..1, oldest first.
-    b_rev = [(m + 1) ** alpha - m ** alpha for m in range(window - 1, -1, -1)]
+    # f[1:] after WINDOW zeros, so f_tail[n:] is always the window; f[0] has
+    # weights of its own in both rules.  Adding 0.0 leaves every sum's bits.
+    f_tail = [0.0] * WINDOW
+    # Weights b_m = (m+1)^a - m^a for ages WINDOW-1..0 and
+    # c_m = (m+1)^(a+1) + (m-1)^(a+1) - 2 m^(a+1) for ages WINDOW..1, oldest first.
+    b_rev = [(m + 1) ** alpha - m ** alpha for m in range(WINDOW - 1, -1, -1)]
     c_rev = [(m + 1) ** (alpha + 1.0) + (m - 1) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0)
-             for m in range(window, 0, -1)]
-    hist_b = hist_c = 0.0
+             for m in range(WINDOW, 0, -1)]
+    decay, wb, wc = _history_modes(alpha, steps)
+    hist = [0.0] * len(decay)
     pow_n = 0.0  # n ** alpha
     for n in range(steps):
         pow_next = (n + 1) ** alpha
-        if n <= window:
-            recent, b_w, c_w = f_tail, b_rev[window - n:], c_rev[window - n:]
-        else:
-            recent, b_w, c_w = f_tail[n - window:], b_rev, c_rev
-            hist_b = sum(map(mul, wb, hist))
-            hist_c = sum(map(mul, wc, hist))
+        recent = f_tail[n:]
         # Predictor: product-rectangle rule; f[0] and the history start the sum.
-        acc = sum(map(mul, b_w, recent), (pow_next - pow_n) * f0 + hist_b)
+        acc = sum(map(mul, b_rev, recent), (pow_next - pow_n) * f0 + sum(map(mul, wb, hist)))
         k_pred = params.k0 + inv_gamma_a * (h_alpha / alpha) * acc
         if not 0.0 < k_pred < math.inf:
             _bad_capital("predictor", k_pred, h * (n + 1))
         # Corrector: product-trapezoid rule, likewise.
-        acc = sum(map(mul, c_w, recent),
-                  (n ** (alpha + 1.0) - (n - alpha) * pow_next) * f0 + hist_c)
+        acc = sum(map(mul, c_rev, recent),
+                  (n ** (alpha + 1.0) - (n - alpha) * pow_next) * f0 + sum(map(mul, wc, hist)))
         k_next = params.k0 + inv_gamma_a2 * h_alpha * (params.rhs(k_pred) + acc)
         if not 0.0 < k_next < math.inf:
             _bad_capital("corrector", k_next, h * (n + 1))
         k.append(k_next)
         f_tail.append(params.rhs(k_next))
-        if n == window:
-            decay, wb, wc = _history_modes(alpha, steps)
-            hist = [0.0] * len(decay)
-        if n >= window:  # f[n + 1 - window] leaves the window for the modes
-            f_old = f_tail[n - window]
-            hist = [d * x + f_old for d, x in zip(decay, hist)]  # 1/3 faster than nested maps
+        f_old = f_tail[n]  # f[n + 1 - WINDOW] leaves the window for the modes
+        hist = [d * x + f_old for d, x in zip(decay, hist)]  # 1/3 faster than nested maps
         pow_n = pow_next
     return k
 
@@ -168,7 +159,7 @@ def _history_modes(alpha: float, steps: int) -> tuple[list[float], list[float], 
     weights = [(0.5 * top) ** (1.0 - alpha) * wi for wi in w]
     lo, hi = math.log(top), math.log(HISTORY_CUTOFF / WINDOW)
     half = 0.5 * (hi - lo)
-    t, w = _leggauss(math.ceil(LOG_NODE_DENSITY * (hi - lo)))
+    t, w = _leggauss(max(MIN_LOG_NODES, math.ceil(LOG_NODE_DENSITY * (hi - lo))))
     for ti, wi in zip(t, w):
         s = math.exp(lo + half * (1.0 + ti))
         nodes.append(s)

@@ -159,6 +159,8 @@ def time_grid(t_max: float, samples: int) -> list[float]:
     if samples < 2:
         raise ValueError(f"samples must be at least 2, got {samples}")
     check_positive("t_max", t_max)
+    if (samples - 1) * t_max == math.inf:  # i * t_max would reach it
+        raise ValueError(f"t_max * (samples - 1) overflows: t_max={t_max}, samples={samples}")
     return [i * t_max / (samples - 1) for i in range(samples)]
 
 

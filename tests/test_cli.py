@@ -593,6 +593,21 @@ class TestCompare:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    # A finite t_max whose last grid time overflows: rows at t = inf, marked
+    # trusted by the exact method, until the grid refused it.
+    @pytest.mark.parametrize("argv, samples", [
+        (["solve", "--t-max", "1e308"], 41),
+        (["solve", "--t-max", "1e307", "--method", "exact"], 41),
+        (["compare", "--alpha", "0.8", "--t-max", "1e307"], 21),
+        (["sweep", "--preset", "fig-ktq", "--t-max", "1e308"], 41),
+    ])
+    def test_overflowing_grid_is_usage_error(self, capsys, argv, samples):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        t_max = float(argv[argv.index("--t-max") + 1])
+        assert err == f"error: t_max * (samples - 1) overflows: t_max={t_max}, samples={samples}\n"
+
 
 class TestOutputPaths:
     """An output path that is a directory, or whose directory does not exist,

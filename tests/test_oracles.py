@@ -6,9 +6,9 @@ import random
 import mpmath as mp
 import pytest
 
+from mu_edge_references import EDGE_CASES
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import (
-    EXACT_STEPS,
     WINDOW,
     _history_modes,
     _jacgauss,
@@ -23,9 +23,9 @@ def _abm_reference(params, t_end, steps):
     """ABM values from the memory sums written as plain double loops.
 
     Every weight is the exact formula, and every memory term is added one at
-    a time, oldest first.  The solver must reproduce these values bit for bit
-    on runs of at most EXACT_STEPS steps, stay within 1e-10 relative on longer
-    runs, and fail where and how this does.
+    a time, oldest first.  The solver must reproduce the first WINDOW + 2
+    values bit for bit (all of them on runs of at most WINDOW + 1 steps),
+    stay within 1e-10 relative past them, and fail where and how this does.
     """
     alpha = params.alpha
     h = t_end / steps
@@ -214,11 +214,8 @@ class TestABM:
 
 
 class TestABMReference:
-    # Runs of at most EXACT_STEPS steps keep the whole history exact.
-    @pytest.mark.parametrize("steps, count", [
-        (16, 12), (17, 12), (32, 4), (33, 4), (128, 4), (129, 4), (280, 6),
-        (EXACT_STEPS, 2),
-    ])
+    # Runs of at most WINDOW + 1 steps never read the modes.
+    @pytest.mark.parametrize("steps, count", [(16, 12), (17, 12)])
     def test_bit_identical_to_double_loop(self, steps, count):
         for params, t_end in _draws(steps, count):
             values = solve_abm_fractional(params, t_end=t_end, steps=steps)
@@ -227,7 +224,10 @@ class TestABMReference:
     # Longer runs send terms older than WINDOW steps through the modes: the
     # first WINDOW + 1 steps stay exact, and no value may move by more than
     # 1e-10 relative (measured: <= 8.2e-12).
-    @pytest.mark.parametrize("steps, count", [(EXACT_STEPS + 1, 6), (2048, 4), (4096, 4)])
+    @pytest.mark.parametrize("steps, count", [
+        (32, 4), (33, 4), (128, 4), (129, 4), (280, 6), (512, 2), (513, 6),
+        (2048, 4), (4096, 4),
+    ])
     def test_history_within_1e10_of_double_loop(self, steps, count):
         for params, t_end in _draws(steps, count):
             got = tuple(solve_abm_fractional(params, t_end=t_end, steps=steps))
@@ -273,20 +273,36 @@ class TestABMReference:
             solve_abm_fractional(REFERENCE_PARAMS, t_end=math.inf, steps=64)
 
 
+class TestMuEdges:
+    """The ABM against the exact solutions at mu = 1e-14 and 1 - 1e-14."""
+
+    # Measured worst gaps: 2.5e-5 at 280 steps and 1.9e-6 at 2,048 (alpha = 0.3).
+    @pytest.mark.parametrize("steps, tol", [(280, 1e-4), (2048, 1e-5)])
+    @pytest.mark.parametrize("params, reference",
+                             [case[1:] for case in EDGE_CASES], ids=[case[0] for case in EDGE_CASES])
+    def test_abm_matches_exact_edge(self, params, reference, steps, tol):
+        values = solve_abm_fractional(params, t_end=2.0, steps=steps)
+        for i in range(steps // 8, steps + 1, steps // 8):  # t = 0.25, 0.5, ..., 2
+            want = reference(params, i * (2.0 / steps))
+            assert abs(values[i] - want) / want <= tol, i
+
+
 class TestHistoryKernel:
     """The modes against 40-digit weights b_m and c_m, m in [WINDOW, steps]."""
 
     ALPHAS = [1e-4, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0 - 1e-9, 1.0]
 
-    # 1,000 and 4,096 steps check the rounded-up node count of the ln s rule
-    # at lengths between the others.
-    @pytest.mark.parametrize("steps", [EXACT_STEPS + 1, 1000, 2048, 4096, 16384])
+    # 17-128 steps check the ln s rule's floor of MIN_LOG_NODES nodes, 280 a
+    # sweep cell, and 1,000 and 4,096 steps its rounded-up node count at
+    # lengths between the others.
+    @pytest.mark.parametrize("steps", [17, 32, 64, 128, 280, 513, 1000, 2048, 4096, 16384])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_modes_reproduce_weights(self, steps, alpha):
         decay, wb, wc = _history_modes(alpha, steps)
         # every age just past the window, then log-spaced ages up to the run's length
-        ages = sorted({steps - 1, steps} | set(range(WINDOW, WINDOW + 65))
-                      | {round(WINDOW * (steps / WINDOW) ** (i / 24)) for i in range(25)})
+        ages = sorted(m for m in {steps - 1, steps} | set(range(WINDOW, WINDOW + 65))
+                      | {round(WINDOW * (steps / WINDOW) ** (i / 24)) for i in range(25)}
+                      if WINDOW <= m <= steps)
         worst = 0.0
         with mp.workdps(40):
             a = mp.mpf(alpha)
@@ -299,8 +315,9 @@ class TestHistoryKernel:
         assert worst <= 1e-12
 
     # A run pays 2 * WINDOW + 3 * modes products per step; these caps keep
-    # that at most 2 * 16 + 3 * 44 = 164 at 2,048 steps.
-    @pytest.mark.parametrize("steps, most", [(2048, 44), (16384, 56)])
+    # that at most 2 * 16 + 3 * 33 = 131 on a 280-step sweep cell and
+    # 2 * 16 + 3 * 44 = 164 at 2,048 steps.
+    @pytest.mark.parametrize("steps, most", [(280, 33), (2048, 44), (16384, 56)])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_mode_count(self, steps, most, alpha):
         assert len(_history_modes(alpha, steps)[0]) <= most

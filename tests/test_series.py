@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_helpers import gamma_ratio
+from mu_edge_references import EDGE_CASES
 from series_closed_forms import classical_taylor_check, fractional_low_order_coeffs, rhs_derivative
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
@@ -338,3 +339,21 @@ class TestClassicalTaylorCheck:
         d = rhs_derivative(params, params.k0)
         assert classical_taylor_check(params)[2] == pytest.approx(b * d / 2.0, rel=1e-14)
 
+
+
+class TestMuEdges:
+    # Order 32 against the exact solutions at mu = 1e-14 and 1 - 1e-14; worst
+    # measured gap 3.7e-10 (mu -> 0, alpha = 0.95, k0 = 0.5, t = 2, where the eps * ln k
+    # term's finite radius shows).
+    @pytest.mark.parametrize("params, reference",
+                             [case[1:] for case in EDGE_CASES], ids=[case[0] for case in EDGE_CASES])
+    def test_trusted_points_match_exact_edge(self, params, reference):
+        coeffs = build_series(params, 32)
+        checked = 0
+        for t in (0.25 * i for i in range(1, 9)):
+            value, trusted = eval_series(coeffs, params.alpha, t)
+            if trusted:
+                want = reference(params, t)
+                assert abs(value - want) / want <= 1e-9, t
+                checked += 1
+        assert checked > 0

@@ -17,6 +17,7 @@ from solowfrac.sweep import (
     run_solve,
     run_sweep,
     sidecar_metadata,
+    time_grid,
 )
 
 
@@ -184,6 +185,19 @@ class TestRunSolve:
                 with pytest.raises(ValueError, match="order must lie in"):
                     run_solve(REFERENCE_PARAMS, t_max=1.0, samples=5, method=method,
                               order=order)
+
+    @pytest.mark.parametrize("t_max, samples", [(1e308, 3), (1e307, 41), (2e306, 101)])
+    def test_overflowing_grid_rejected(self, t_max, samples):
+        # i * t_max reaches inf before the division: rows at t = inf
+        with pytest.raises(ValueError, match=r"t_max \* \(samples - 1\) overflows"):
+            time_grid(t_max, samples)
+        with pytest.raises(ValueError, match=r"t_max \* \(samples - 1\) overflows"):
+            run_solve(REFERENCE_PARAMS, t_max=t_max, samples=samples, method="exact")
+
+    def test_largest_grid_is_finite(self):
+        t_max = 1.7976931348623157e308 / 40
+        times = time_grid(t_max, 41)
+        assert times[-1] == t_max and all(math.isfinite(t) for t in times)
 
     def test_solver_failure_raises(self):
         # A sweep turns this cell into NaN rows; a single solve must refuse it.
