@@ -10,6 +10,8 @@ so these are the solutions of those parameter sets to about 1e-14.  E_alpha
 is `transforms.mittag_leffler`, which the suite gates against 40-digit values.
 """
 
+import pytest
+
 from solowfrac.model import ModelParams
 from solowfrac.transforms import mittag_leffler
 
@@ -31,9 +33,10 @@ def power_edge_value(params: ModelParams, t: float) -> float:
     return params.k0 * mittag_leffler(params.alpha, (params.p - params.q) * t ** params.alpha)
 
 
-# (id, params, reference): alpha in {0.3, 0.5, 0.8, 0.95} and k0 on both sides of p/q
+# (params, reference) for pytest: alpha in {0.3, 0.5, 0.8, 0.95}, k0 on both sides of p/q
 EDGE_CASES = [
-    (f"{name}-alpha={alpha:g}-k0={k0:g}", ModelParams(p=p, q=q, mu=mu, alpha=alpha, k0=k0), reference)
+    pytest.param(ModelParams(p=p, q=q, mu=mu, alpha=alpha, k0=k0), reference,
+                 id=f"{name}-alpha={alpha:g}-k0={k0:g}")
     for name, p, q, mu, reference in [("mu0", 0.5, 0.2, EDGE_EPS, linear_edge_value),
                                       ("mu1", 0.2, 0.5, 1.0 - EDGE_EPS, power_edge_value)]
     for alpha in (0.3, 0.5, 0.8, 0.95)

@@ -278,8 +278,7 @@ class TestMuEdges:
 
     # Measured worst gaps: 2.5e-5 at 280 steps and 1.9e-6 at 2,048 (alpha = 0.3).
     @pytest.mark.parametrize("steps, tol", [(280, 1e-4), (2048, 1e-5)])
-    @pytest.mark.parametrize("params, reference",
-                             [case[1:] for case in EDGE_CASES], ids=[case[0] for case in EDGE_CASES])
+    @pytest.mark.parametrize("params, reference", EDGE_CASES)
     def test_abm_matches_exact_edge(self, params, reference, steps, tol):
         values = solve_abm_fractional(params, t_end=2.0, steps=steps)
         for i in range(steps // 8, steps + 1, steps // 8):  # t = 0.25, 0.5, ..., 2

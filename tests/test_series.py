@@ -343,10 +343,9 @@ class TestClassicalTaylorCheck:
 
 class TestMuEdges:
     # Order 32 against the exact solutions at mu = 1e-14 and 1 - 1e-14; worst
-    # measured gap 3.7e-10 (mu -> 0, alpha = 0.95, k0 = 0.5, t = 2, where the eps * ln k
-    # term's finite radius shows).
-    @pytest.mark.parametrize("params, reference",
-                             [case[1:] for case in EDGE_CASES], ids=[case[0] for case in EDGE_CASES])
+    # measured gap 3.7e-10 (mu -> 0, alpha = 0.95, k0 = 0.5, t = 2, where the
+    # finite radius of the eps * ln k term shows).
+    @pytest.mark.parametrize("params, reference", EDGE_CASES)
     def test_trusted_points_match_exact_edge(self, params, reference):
         coeffs = build_series(params, 32)
         checked = 0
