@@ -16,8 +16,9 @@ floats:
   21(3), 2017), whose nodes come from one Gauss rule in ln s (Beylkin &
   Monzon, Appl. Comput. Harmon. Anal. 28(2), 2010): 33 modes at 280 steps,
   44 at 2,048 and 56 at 16,384, each updated once per step, so a run costs
-  O(steps * (WINDOW + modes)) instead of O(steps^2).  Over alpha in (0, 1]
-  the modes reproduce the old terms' weights to <= 6.0e-13 relative
+  O(steps * (WINDOW + modes)) instead of O(steps^2); each process builds
+  the modes once per (alpha, steps), and a sweep's cells share them.  Over
+  alpha in (0, 1] the modes reproduce the old terms' weights to <= 6.0e-13 relative
   (measured from 17 up to 16,384 steps; 65,536 steps reach 3.6e-12), and a
   run stays within ~1e-11 relative of the exact full-history sum (measured
   up to 4,096 steps).
@@ -102,6 +103,9 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[
     h_alpha = h ** alpha
     inv_gamma_a = math.exp(-ln_gamma(alpha))
     inv_gamma_a2 = math.exp(-ln_gamma(alpha + 2.0))
+    step_weight = inv_gamma_a * (h_alpha / alpha)
+    if not step_weight < math.inf:  # h**alpha / alpha overflows below alpha ~ 5.6e-309
+        raise ArithmeticError(f"ABM step weight h^alpha/(alpha*Gamma(alpha)) overflows at alpha={alpha!r}")
 
     k = [params.k0]
     f0 = params.rhs(params.k0)
@@ -121,7 +125,7 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[
         recent = f_tail[n:]
         # Predictor: product-rectangle rule; f[0] and the history start the sum.
         acc = sum(map(mul, b_rev, recent), (pow_next - pow_n) * f0 + sum(map(mul, wb, hist)))
-        k_pred = params.k0 + inv_gamma_a * (h_alpha / alpha) * acc
+        k_pred = params.k0 + step_weight * acc
         if not 0.0 < k_pred < math.inf:
             _bad_capital("predictor", k_pred, h * (n + 1))
         # Corrector: product-trapezoid rule, likewise.
@@ -138,8 +142,11 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[
     return k
 
 
-def _history_modes(alpha: float, steps: int) -> tuple[list[float], list[float], list[float]]:
+@functools.lru_cache(maxsize=8)
+def _history_modes(alpha: float, steps: int) -> tuple[tuple[float, ...], ...]:
     """Decays e^(-x_i) and weights wb_i, wc_i of the history's modes.
+
+    Built once per (alpha, steps) in each process, as tuples that no run can change.
 
     b_(WINDOW+a) ~ sum_i wb_i e^(-a x_i) and c_(WINDOW+1+a) ~ sum_i wc_i e^(-a x_i)
     for 0 <= a <= steps - WINDOW.  For alpha < 1 both weights are Laplace
@@ -152,7 +159,7 @@ def _history_modes(alpha: float, steps: int) -> tuple[list[float], list[float], 
     with x = 0.
     """
     if alpha == 1.0:
-        return [1.0], [1.0], [2.0]
+        return (1.0,), (1.0,), (2.0,)
     top = HEAD_SPAN / steps
     t, w = _jacgauss(JACOBI_NODES, -alpha)
     nodes = [0.5 * top * (1.0 + ti) for ti in t]
@@ -172,7 +179,7 @@ def _history_modes(alpha: float, steps: int) -> tuple[list[float], list[float], 
         decay.append(math.exp(-s))
         wb.append(e * g)
         wc.append(e * (alpha + 1.0) * g * g)
-    return decay, wb, wc
+    return tuple(decay), tuple(wb), tuple(wc)
 
 
 def _bad_capital(stage: str, k: float, t: float):
@@ -214,13 +221,12 @@ def _leggauss(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(x for x, _ in pairs), tuple(w for _, w in pairs)
 
 
-def _jacobi(n: int, beta: float, x: float) -> tuple[float, float]:
-    """P_n^(0,beta)(x) and its derivative by the three-term recurrence."""
+def _jacobi(n: int, beta: float, x: float, terms: list) -> tuple[float, float]:
+    """P_n^(0,beta)(x) and its derivative by the three-term recurrence, whose
+    x-free factors for k = 2..n are `terms` (see `_jacgauss`)."""
     p_prev, p = 1.0, 0.5 * ((beta + 2.0) * x - beta)
-    for k in range(2, n + 1):
-        s = 2 * k + beta
-        p_prev, p = p, ((s - 1.0) * (s * (s - 2.0) * x - beta * beta) * p
-                        - 2.0 * (k - 1) * (k - 1 + beta) * s * p_prev) / (2 * k * (k + beta) * (s - 2.0))
+    for s1, s_s2, beta2, back, den in terms:
+        p_prev, p = p, (s1 * (s_s2 * x - beta2) * p - back * p_prev) / den
     s = 2 * n + beta
     return p, n * (2.0 * (n + beta) * p_prev - (beta + s * x) * p) / (s * (1.0 - x * x))
 
@@ -235,18 +241,21 @@ def _jacgauss(nodes: int, beta: float) -> tuple[list[float], list[float]]:
     mass 2^(beta+1) / (beta+1): as beta -> -1 that node carries almost all
     of it, and 1 + t there holds too few significant digits.
     """
+    # (s - 1, s (s - 2), beta^2, 2 (k-1)(k-1+beta) s, 2k (k+beta)(s - 2)), s = 2k + beta
+    terms = [(s - 1.0, s * (s - 2.0), beta * beta, 2.0 * (k - 1) * (k - 1 + beta) * s,
+              2 * k * (k + beta) * (s - 2.0)) for k in range(2, nodes + 1) for s in [2 * k + beta]]
     roots = []
     for i in range(nodes):
         x = math.cos(math.pi * (i + 0.75) / (nodes + 0.5 * (beta + 1.0)))
         for _ in range(100):
-            p, dp = _jacobi(nodes, beta, x)
-            step = p / (dp - p * sum(1.0 / (x - r) for r in roots))
+            p, dp = _jacobi(nodes, beta, x, terms)
+            step = p / (dp - p * sum([1.0 / (x - r) for r in roots]))
             x -= step
             if abs(step) <= 4e-16:
                 break
         roots.append(x)
     roots.sort()
-    weights = [2.0 ** (beta + 1.0) / ((1.0 - x * x) * _jacobi(nodes, beta, x)[1] ** 2)
+    weights = [2.0 ** (beta + 1.0) / ((1.0 - x * x) * _jacobi(nodes, beta, x, terms)[1] ** 2)
                for x in roots]
     weights[0] = 2.0 ** (beta + 1.0) / (beta + 1.0) - math.fsum(weights[1:])
     return roots, weights

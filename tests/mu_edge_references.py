@@ -33,12 +33,17 @@ def power_edge_value(params: ModelParams, t: float) -> float:
     return params.k0 * mittag_leffler(params.alpha, (params.p - params.q) * t ** params.alpha)
 
 
-# (params, reference) for pytest: alpha in {0.3, 0.5, 0.8, 0.95}, k0 on both sides of p/q
-EDGE_CASES = [
-    pytest.param(ModelParams(p=p, q=q, mu=mu, alpha=alpha, k0=k0), reference,
-                 id=f"{name}-alpha={alpha:g}-k0={k0:g}")
-    for name, p, q, mu, reference in [("mu0", 0.5, 0.2, EDGE_EPS, linear_edge_value),
-                                      ("mu1", 0.2, 0.5, 1.0 - EDGE_EPS, power_edge_value)]
-    for alpha in (0.3, 0.5, 0.8, 0.95)
-    for k0 in (0.5, 4.0)
-]
+def edge_cases(alphas, edges=("mu0", "mu1")):
+    """(params, reference) for pytest at each alpha and edge, k0 on both sides of p/q."""
+    return [
+        pytest.param(ModelParams(p=p, q=q, mu=mu, alpha=alpha, k0=k0), reference,
+                     id=f"{name}-alpha={alpha:g}-k0={k0:g}")
+        for name, p, q, mu, reference in [("mu0", 0.5, 0.2, EDGE_EPS, linear_edge_value),
+                                          ("mu1", 0.2, 0.5, 1.0 - EDGE_EPS, power_edge_value)]
+        if name in edges
+        for alpha in alphas
+        for k0 in (0.5, 4.0)
+    ]
+
+
+EDGE_CASES = edge_cases((0.3, 0.5, 0.8, 0.95))

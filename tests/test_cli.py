@@ -666,12 +666,20 @@ class TestTinyAlpha:
     @pytest.mark.parametrize("argv", [
         ["solve", "--method", "abm", "--alpha", "1e-300", "--samples", "3"],
         ["compare", "--alpha", "1e-300"],
+        ["solve", "--method", "abm", "--alpha", "1e-308", "--samples", "2", "--t-max", "1"],
     ])
     def test_alpha_near_zero_runs(self, capsys, argv):
         # ln_gamma(alpha) divided by zero for alpha below ~1.1e-16
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert err == ""
+
+    @pytest.mark.parametrize("command", [["solve", "--method", "abm"], ["compare"]])
+    def test_abm_step_weight_overflow_is_named(self, capsys, command):
+        # h**alpha / alpha overflows below alpha ~ 5.6e-309, before any capital is formed
+        code, out, err = run_cli(capsys, *command, "--alpha", "1e-310", "--samples", "2", "--t-max", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: ABM step weight h^alpha/(alpha*Gamma(alpha)) overflows at alpha=1e-310\n"
 
 
 ALL_FLAGS = sorted({"--" + key.replace("_", "-") for kinds in FLAG_KINDS.values() for key in kinds})

@@ -6,7 +6,7 @@ import random
 import mpmath as mp
 import pytest
 
-from mu_edge_references import EDGE_CASES
+from mu_edge_references import EDGE_CASES, edge_cases
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import (
     WINDOW,
@@ -16,7 +16,7 @@ from solowfrac.oracles import (
     solve_abm_fractional,
 )
 from solowfrac.special import ln_gamma
-from solowfrac.sweep import time_grid
+from solowfrac.sweep import PRESETS, run_sweep, time_grid
 
 
 def _abm_reference(params, t_end, steps):
@@ -276,14 +276,34 @@ class TestABMReference:
 class TestMuEdges:
     """The ABM against the exact solutions at mu = 1e-14 and 1 - 1e-14."""
 
-    # Measured worst gaps: 2.5e-5 at 280 steps and 1.9e-6 at 2,048 (alpha = 0.3).
+    # Measured worst gaps: 2.5e-5 at 280 steps and 1.9e-6 at 2,048 (alpha = 0.3);
+    # at alpha = 1, 4.6e-7 and 8.6e-9 (mu -> 1).
     @pytest.mark.parametrize("steps, tol", [(280, 1e-4), (2048, 1e-5)])
-    @pytest.mark.parametrize("params, reference", EDGE_CASES)
+    @pytest.mark.parametrize("params, reference", EDGE_CASES + edge_cases((1.0,)))
     def test_abm_matches_exact_edge(self, params, reference, steps, tol):
         values = solve_abm_fractional(params, t_end=2.0, steps=steps)
         for i in range(steps // 8, steps + 1, steps // 8):  # t = 0.25, 0.5, ..., 2
             want = reference(params, i * (2.0 / steps))
             assert abs(values[i] - want) / want <= tol, i
+
+    # To t = 50 at 2,048 steps (h = 0.0244), measured before setting the gate of
+    # 1e-4: worst 2.1e-5 (mu -> 1, alpha = 0.95); at alpha = 1, 1.5e-6 (mu -> 0).
+    @pytest.mark.parametrize("params, reference",
+                             EDGE_CASES + edge_cases((1.0,), edges=("mu0",)))
+    def test_abm_matches_exact_edge_to_t50(self, params, reference):
+        values = solve_abm_fractional(params, t_end=50.0, steps=2048)
+        for i in range(256, 2049, 256):  # t = 6.25, 12.5, ..., 50
+            want = reference(params, i * (50.0 / 2048))
+            assert abs(values[i] - want) / want <= 1e-4, i
+
+    # At alpha = 1 the predictor is k_n + h (f(k0) + f(k_n)) / 2, off by
+    # h f(k0) / 2 for good: on the mu -> 1 edge k = k0 e^(-0.3 t) falls below
+    # that near t = 18.7 and the run stops (ROADMAP item 21), at 4,096 and
+    # 8,192 steps too (t = 21.0 and 23.3).
+    @pytest.mark.parametrize("params, reference", edge_cases((1.0,), edges=("mu1",)))
+    def test_abm_stops_on_the_decaying_edge_at_alpha_1(self, params, reference):
+        with pytest.raises(ArithmeticError, match=r"^ABM predictor produced nonpositive capital -\S+ at t=18\.7012;"):
+            solve_abm_fractional(params, t_end=50.0, steps=2048)
 
 
 class TestHistoryKernel:
@@ -320,6 +340,22 @@ class TestHistoryKernel:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_mode_count(self, steps, most, alpha):
         assert len(_history_modes(alpha, steps)[0]) <= most
+
+
+class TestHistoryModeCache:
+    """Runs that share alpha and length share one build of the modes."""
+
+    @pytest.mark.parametrize("preset, misses, hits", [("fig-ktq-frac", 1, 20), ("fig-ktalpha", 21, 0)])
+    def test_sweep_builds_modes_once_per_alpha(self, preset, misses, hits):
+        _history_modes.cache_clear()
+        grid = run_sweep(PRESETS[preset].with_(method="both"))
+        assert not grid.failures
+        info = _history_modes.cache_info()
+        assert (info.misses, info.hits) == (misses, hits)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_tables_are_tuples(self, alpha):
+        assert [type(table) for table in _history_modes(alpha, 280)] == [tuple] * 3
 
 
 class TestGaussJacobi:
