@@ -92,7 +92,8 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[
     exponential modes of `_history_modes`.  The first WINDOW + 1 steps are
     therefore the plain full-history sum; past that a run stays within
     ~1e-11 relative of it (measured; the tests gate 1e-10).  ArithmeticError
-    when a step leaves capital nonpositive or non-finite.
+    when a step leaves capital nonpositive or non-finite, or before the first
+    step at alpha below ~5.6e-309, where the step weight overflows.
     """
     check_positive("t_end", t_end)
     if steps < MIN_ABM_STEPS:

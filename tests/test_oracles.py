@@ -296,10 +296,10 @@ class TestMuEdges:
             want = reference(params, i * (50.0 / 2048))
             assert abs(values[i] - want) / want <= 1e-4, i
 
-    # At alpha = 1 the predictor is k_n + h (f(k0) + f(k_n)) / 2, off by
-    # h f(k0) / 2 for good: on the mu -> 1 edge k = k0 e^(-0.3 t) falls below
-    # that near t = 18.7 and the run stops (ROADMAP item 21), at 4,096 and
-    # 8,192 steps too (t = 21.0 and 23.3).
+    # At alpha = 1 the predictor is about k_n + h (f(k0) + f(k_n)) / 2, which keeps an
+    # error near h f(k0) / 2 once f(k_n) has decayed: on the mu -> 1 edge
+    # k = k0 e^(-0.3 t) falls below it near t = 18.7 and the run stops (ROADMAP
+    # item 21), at 4,096 and 8,192 steps too (t = 21.0 and 23.3).
     @pytest.mark.parametrize("params, reference", edge_cases((1.0,), edges=("mu1",)))
     def test_abm_stops_on_the_decaying_edge_at_alpha_1(self, params, reference):
         with pytest.raises(ArithmeticError, match=r"^ABM predictor produced nonpositive capital -\S+ at t=18\.7012;"):
