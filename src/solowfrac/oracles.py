@@ -6,22 +6,24 @@ floats:
 * `exact_classical_value`, k(t) at one time from the Bernoulli substitution
   v = k**(1-mu) which linearizes dk/dt = p*k**mu - q*k;
 * `solve_abm_fractional`, the list of k on a uniform grid of steps + 1
-  points from an Adams-Bashforth-Moulton predictor-corrector for the Caputo
-  problem (Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002: product-rectangle
-  predictor, product-trapezoid corrector, one corrector iteration).  Memory
-  terms younger than WINDOW steps take the exact weights, and each of their
-  sums is the builtin `sum`, oldest term first: plain left-to-right addition
-  up to CPython 3.11 (3.12 compensates, ~1 ulp off).  Older terms go through
-  a sum of exponentials (Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys.
+  points from the Adams-Bashforth-Moulton product-trapezoid corrector for
+  the Caputo problem (Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002),
+  solved at each step by a safeguarded scalar Newton method rather than
+  once from a predictor (Garrappa, Mathematics 6(2), 2018).  Memory terms
+  younger than WINDOW steps take the exact weights, and their sum is the
+  builtin `sum`, oldest term first: plain left-to-right addition up to
+  CPython 3.11 (3.12 compensates, ~1 ulp off).  Older terms go through a
+  sum of exponentials (Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys.
   21(3), 2017), whose nodes come from one Gauss rule in ln s (Beylkin &
   Monzon, Appl. Comput. Harmon. Anal. 28(2), 2010): 33 modes at 280 steps,
-  44 at 2,048 and 56 at 16,384, each updated once per step, so a run costs
-  O(steps * (WINDOW + modes)) instead of O(steps^2); each process builds
-  the modes once per (alpha, steps), and a sweep's cells share them.  Over
-  alpha in (0, 1] the modes reproduce the old terms' weights to <= 6.0e-13 relative
-  (measured from 17 up to 16,384 steps; 65,536 steps reach 3.6e-12), and a
-  run stays within ~1e-11 relative of the exact full-history sum (measured
-  up to 4,096 steps).
+  44 at 2,048 and 56 at 16,384, each kept times its weight and updated once
+  per step, so a run costs WINDOW + 2 * modes products per step instead of
+  O(steps) (104 at 2,048 steps); each process builds the modes once per
+  (alpha, steps), and a sweep's cells share them.  Over alpha in (0, 1] the
+  modes reproduce the old terms' weights to <= 6.0e-13 relative (measured
+  from 17 up to 16,384 steps; 65,536 steps reach 3.6e-12), and a run stays
+  within 5.5e-15 relative of the exact full-history sum (measured up to
+  4,096 steps).
 """
 
 from __future__ import annotations
@@ -37,10 +39,17 @@ __all__ = ["exact_classical_value", "solve_abm_fractional"]
 
 MIN_ABM_STEPS = 16
 # Exact weights for memory terms younger than WINDOW steps; older ones go
-# through the modes on every run.  A 2,048-step run at alpha = 0.3 and 0.8
+# through the modes on every run, at WINDOW + 2 * modes products per step.
+# With a predictor pass as well, a 2,048-step run at alpha = 0.3 and 0.8
 # took 16.5-17.1 ms at 16 against 17.6-17.7 at 32 (71 of 80 interleaved
-# calls faster): 164 against 184 products per step (2 * WINDOW + 3 * modes).
+# calls faster).
 WINDOW = 16
+# Newton on the corrector: a step ends once a correction is at most
+# NEWTON_TOL * k, which quadratic convergence leaves ~1e-20 * k off the root.
+# It takes 2.0-2.1 iterations per step (measured over item 4's parameter box);
+# a tolerance at the rounding level, 1e-16, stalled until NEWTON_CAP.
+NEWTON_TOL = 1e-10
+NEWTON_CAP = 64
 # History quadrature: a Gauss-Jacobi rule on [0, HEAD_SPAN / steps], then one
 # Gauss-Legendre rule in y = ln s up to HISTORY_CUTOFF / WINDOW, beyond which
 # e^(-WINDOW x) < 5e-15.  In y the integrand e^(-m s) g(s) s^(1-alpha) is
@@ -87,80 +96,119 @@ def exact_classical_value(params: ModelParams, t: float) -> float:
 def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[float]:
     """Adams-Bashforth-Moulton solution of the Caputo initial-value problem.
 
-    The list of k at t = i * (t_end / steps) for i = 0..steps.  Memory terms
-    younger than WINDOW steps use the exact weights and older ones the
-    exponential modes of `_history_modes`.  The first WINDOW + 1 steps are
-    therefore the plain full-history sum; past that a run stays within
-    ~1e-11 relative of it (measured; the tests gate 1e-10).  ArithmeticError
-    when a step leaves capital nonpositive or non-finite, or before the first
-    step at alpha below ~5.6e-309, where the step weight overflows.
+    The list of k at t = i * (t_end / steps) for i = 0..steps.  Each step
+    solves the product-trapezoid corrector k = k0 + c (f(k) + A_n),
+    c = h^alpha / Gamma(alpha + 2), where A_n holds f(k0) and the memory:
+    terms younger than WINDOW steps with the exact weights and older ones
+    through the exponential modes of `_history_modes`.  The first WINDOW + 1
+    steps are therefore the plain full-history corrector; past that a run
+    stays within ~1e-14 relative of it (measured; the tests gate 1e-10).
+    g(k) = k - c f(k) - k0 - c A_n is convex for mu < 1, so Newton's method
+    from the linear extrapolation 2 k_n - k_(n-1) (k_n when that is not
+    positive and finite) reaches its largest root: where g' <= 0 the iterate
+    jumps to twice the minimum of g, and where a step would leave k <= 0 it
+    halves.  A step ends once its Newton correction is at most NEWTON_TOL * k.
+    ArithmeticError when no positive root turns up within NEWTON_CAP
+    iterations, or when capital becomes non-finite.
     """
     check_positive("t_end", t_end)
     if steps < MIN_ABM_STEPS:
         raise ValueError(f"steps must be at least {MIN_ABM_STEPS}, got {steps}")
 
-    alpha = params.alpha
+    alpha, p, q, mu, k0 = params.alpha, params.p, params.q, params.mu, params.k0
     h = t_end / steps
-    h_alpha = h ** alpha
-    inv_gamma_a = math.exp(-ln_gamma(alpha))
-    inv_gamma_a2 = math.exp(-ln_gamma(alpha + 2.0))
-    step_weight = inv_gamma_a * (h_alpha / alpha)
-    if not step_weight < math.inf:  # h**alpha / alpha overflows below alpha ~ 5.6e-309
-        raise ArithmeticError(f"ABM step weight h^alpha/(alpha*Gamma(alpha)) overflows at alpha={alpha!r}")
-
-    k = [params.k0]
-    f0 = params.rhs(params.k0)
+    c = h ** alpha * math.exp(-ln_gamma(alpha + 2.0))
+    pmu = p * mu
+    k = [k0]
+    f0 = params.rhs(k0)
     # f[1:] after WINDOW zeros, so f_tail[n:] is always the window; f[0] has
-    # weights of its own in both rules.  Adding 0.0 leaves every sum's bits.
+    # a weight of its own.  Adding 0.0 leaves every sum's bits.
     f_tail = [0.0] * WINDOW
-    # Weights b_m = (m+1)^a - m^a for ages WINDOW-1..0 and
-    # c_m = (m+1)^(a+1) + (m-1)^(a+1) - 2 m^(a+1) for ages WINDOW..1, oldest first.
-    b_rev = [(m + 1) ** alpha - m ** alpha for m in range(WINDOW - 1, -1, -1)]
-    c_rev = [(m + 1) ** (alpha + 1.0) + (m - 1) ** (alpha + 1.0) - 2.0 * m ** (alpha + 1.0)
-             for m in range(WINDOW, 0, -1)]
-    decay, wb, wc = _history_modes(alpha, steps)
-    hist = [0.0] * len(decay)
-    pow_n = 0.0  # n ** alpha
+    c_rev = _window_weights(alpha)
+    decay, wc = _history_modes(alpha, steps)
+    u = [0.0] * len(decay)  # the modes times their weights: the history is sum(u)
+    x = k0
     for n in range(steps):
-        pow_next = (n + 1) ** alpha
-        recent = f_tail[n:]
-        # Predictor: product-rectangle rule; f[0] and the history start the sum.
-        acc = sum(map(mul, b_rev, recent), (pow_next - pow_n) * f0 + sum(map(mul, wb, hist)))
-        k_pred = params.k0 + step_weight * acc
-        if not 0.0 < k_pred < math.inf:
-            _bad_capital("predictor", k_pred, h * (n + 1))
-        # Corrector: product-trapezoid rule, likewise.
-        acc = sum(map(mul, c_rev, recent),
-                  (n ** (alpha + 1.0) - (n - alpha) * pow_next) * f0 + sum(map(mul, wc, hist)))
-        k_next = params.k0 + inv_gamma_a2 * h_alpha * (params.rhs(k_pred) + acc)
-        if not 0.0 < k_next < math.inf:
-            _bad_capital("corrector", k_next, h * (n + 1))
-        k.append(k_next)
-        f_tail.append(params.rhs(k_next))
+        acc = sum(map(mul, c_rev, f_tail[n:]),
+                  (n ** (alpha + 1.0) - (n - alpha) * (n + 1) ** alpha) * f0 + sum(u))
+        rest = k0 + c * acc
+        for _ in range(NEWTON_CAP):
+            x_mu = x ** mu
+            slope = 1.0 - c * (pmu * x_mu / x - q)
+            if not slope > 0.0:  # left of g's minimum k_m = x (1 - slope/(1+cq))^(1/(1-mu))
+                try:
+                    x *= 2.0 * (1.0 - slope / (1.0 + c * q)) ** (1.0 / (1.0 - mu))
+                except OverflowError:
+                    x = math.inf
+                if not x < math.inf:
+                    break
+                continue
+            step = (x - c * (p * x_mu - q * x) - rest) / slope
+            if step >= x:
+                x *= 0.5
+                continue
+            x -= step
+            if abs(step) <= NEWTON_TOL * x:
+                break
+        else:
+            if x < math.inf:
+                raise ArithmeticError(f"ABM corrector found no positive capital within {NEWTON_CAP} "
+                                      f"Newton iterations at t={h * (n + 1):.6g}")
+        if not x < math.inf:
+            raise ArithmeticError(f"ABM corrector produced non-finite capital {x} at t={h * (n + 1):.6g}")
+        k.append(x)
+        f_tail.append(params.rhs(x))
         f_old = f_tail[n]  # f[n + 1 - WINDOW] leaves the window for the modes
-        hist = [d * x + f_old for d, x in zip(decay, hist)]  # 1/3 faster than nested maps
-        pow_n = pow_next
+        u = [d * v + w * f_old for d, v, w in zip(decay, u, wc)]
+        x += x - k[n]
+        if not 0.0 < x < math.inf:
+            x = k[n + 1]
     return k
 
 
 @functools.lru_cache(maxsize=8)
+def _window_weights(alpha: float) -> tuple[float, ...]:
+    """Corrector weights c_m = (m+1)^b + (m-1)^b - 2 m^b, b = alpha + 1, for
+    ages WINDOW..1, oldest first, without the formula's cancellation.
+
+    From m = 4 on, c_m = 2 m^b sum_(j>=1) C(b, 2j) m^(-2j), whose terms are
+    all positive; each C(b, 2j) holds b - 1 as alpha.  Below that,
+    c_m = e(m+1) + e(m-1) - 2 e(m) with e(i) = i (i^alpha - 1) from expm1.
+    Against 40-digit values: <= 5.2e-15 relative (measured at alpha from 1e-4
+    to 1), where the plain formula is 1.0e-9 off at alpha = 1e-4, m = 16.
+    """
+    binom = [alpha * (alpha + 1.0) / 2.0]  # C(b, 2j) for j = 1..14
+    for j in range(2, 15):
+        binom.append(binom[-1] * (alpha + 3 - 2 * j) * (alpha + 2 - 2 * j) / ((2 * j - 1) * 2 * j))
+    e = lambda i: i * math.expm1(alpha * math.log(max(i, 1)))
+    weights = []
+    for m in range(WINDOW, 0, -1):
+        if m < 4:
+            weights.append(e(m + 1) + e(m - 1) - 2.0 * e(m))
+            continue
+        total = 0.0
+        for coeff in reversed(binom):
+            total = (total + coeff) / (m * m)
+        weights.append(2.0 * m * m ** alpha * total)
+    return tuple(weights)
+
+
+@functools.lru_cache(maxsize=8)
 def _history_modes(alpha: float, steps: int) -> tuple[tuple[float, ...], ...]:
-    """Decays e^(-x_i) and weights wb_i, wc_i of the history's modes.
+    """Decays e^(-x_i) and weights wc_i of the history's modes.
 
     Built once per (alpha, steps) in each process, as tuples that no run can change.
 
-    b_(WINDOW+a) ~ sum_i wb_i e^(-a x_i) and c_(WINDOW+1+a) ~ sum_i wc_i e^(-a x_i)
-    for 0 <= a <= steps - WINDOW.  For alpha < 1 both weights are Laplace
-    integrals over s^(-alpha) / Gamma(1 - alpha):
-    b_m = alpha * int e^(-m s) g(s) s^(-alpha) ds / Gamma(1 - alpha) and
+    c_(WINDOW+1+a) ~ sum_i wc_i e^(-a x_i) for 0 <= a <= steps - WINDOW - 1.
+    For alpha < 1 the weight is a Laplace integral over s^(-alpha) / Gamma(1 - alpha):
     c_m = alpha (alpha+1) * int e^(-(m-1) s) g(s)^2 s^(-alpha) ds / Gamma(1 - alpha),
     g(s) = (1 - e^(-s)) / s, whose nodes are the modes: a Gauss-Jacobi rule
     for the s^(-alpha) singularity near 0, then one Gauss-Legendre rule in
-    y = ln s, where ds = s dy.  At alpha = 1, b_m = 1 and c_m = 2: one mode
-    with x = 0.
+    y = ln s, where ds = s dy.  At alpha = 1, c_m = 2: one mode with x = 0.
+    A run keeps each mode times its weight, so its history term is their sum.
     """
     if alpha == 1.0:
-        return (1.0,), (1.0,), (2.0,)
+        return (1.0,), (2.0,)
     top = HEAD_SPAN / steps
     t, w = _jacgauss(JACOBI_NODES, -alpha)
     nodes = [0.5 * top * (1.0 + ti) for ti in t]
@@ -172,24 +220,13 @@ def _history_modes(alpha: float, steps: int) -> tuple[tuple[float, ...], ...]:
         s = math.exp(lo + half * (1.0 + ti))
         nodes.append(s)
         weights.append(half * wi * s ** (1.0 - alpha))
-    decay, wb, wc = [], [], []
-    scale = alpha / math.gamma(1.0 - alpha)
+    decay, wc = [], []
+    scale = alpha * (alpha + 1.0) / math.gamma(1.0 - alpha)
     for s, weight in zip(nodes, weights):
-        g = -math.expm1(-s) / s
-        e = scale * weight * math.exp(-WINDOW * s)
+        g = -math.expm1(-s) / s if s else 1.0  # a Jacobi node at -1 for alpha within ~1e-14 of 1
         decay.append(math.exp(-s))
-        wb.append(e * g)
-        wc.append(e * (alpha + 1.0) * g * g)
-    return tuple(decay), tuple(wb), tuple(wc)
-
-
-def _bad_capital(stage: str, k: float, t: float):
-    if k <= 0:
-        raise ArithmeticError(
-            f"ABM {stage} produced nonpositive capital {k} at "
-            f"t={t:.6g}; the model is only meaningful for k > 0"
-        )
-    raise ArithmeticError(f"ABM {stage} produced non-finite capital {k} at t={t:.6g}")
+        wc.append(scale * weight * math.exp(-WINDOW * s) * g * g)
+    return tuple(decay), tuple(wc)
 
 
 def _legendre(n: int, x: float) -> tuple[float, float]:
@@ -223,13 +260,15 @@ def _leggauss(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 
 def _jacobi(n: int, beta: float, x: float, terms: list) -> tuple[float, float]:
-    """P_n^(0,beta)(x) and its derivative by the three-term recurrence, whose
-    x-free factors for k = 2..n are `terms` (see `_jacgauss`)."""
+    """P_n^(0,beta)(x) and (1 - x^2) times its derivative by the three-term
+    recurrence, whose x-free factors for k = 2..n are `terms` (see
+    `_jacgauss`).  No division by 1 - x^2: a node next to -1 rounds to it
+    for beta within ~2e-14 of -1."""
     p_prev, p = 1.0, 0.5 * ((beta + 2.0) * x - beta)
     for s1, s_s2, beta2, back, den in terms:
         p_prev, p = p, (s1 * (s_s2 * x - beta2) * p - back * p_prev) / den
     s = 2 * n + beta
-    return p, n * (2.0 * (n + beta) * p_prev - (beta + s * x) * p) / (s * (1.0 - x * x))
+    return p, n * (2.0 * (n + beta) * p_prev - (beta + s * x) * p) / s
 
 
 def _jacgauss(nodes: int, beta: float) -> tuple[list[float], list[float]]:
@@ -250,13 +289,14 @@ def _jacgauss(nodes: int, beta: float) -> tuple[list[float], list[float]]:
         x = math.cos(math.pi * (i + 0.75) / (nodes + 0.5 * (beta + 1.0)))
         for _ in range(100):
             p, dp = _jacobi(nodes, beta, x, terms)
-            step = p / (dp - p * sum([1.0 / (x - r) for r in roots]))
+            one_x2 = 1.0 - x * x
+            step = p * one_x2 / (dp - p * one_x2 * sum([1.0 / (x - r) for r in roots]))
             x -= step
             if abs(step) <= 4e-16:
                 break
         roots.append(x)
     roots.sort()
-    weights = [2.0 ** (beta + 1.0) / ((1.0 - x * x) * _jacobi(nodes, beta, x, terms)[1] ** 2)
-               for x in roots]
-    weights[0] = 2.0 ** (beta + 1.0) / (beta + 1.0) - math.fsum(weights[1:])
+    weights = [2.0 ** (beta + 1.0) * (1.0 - x * x) / _jacobi(nodes, beta, x, terms)[1] ** 2
+               for x in roots[1:]]
+    weights.insert(0, 2.0 ** (beta + 1.0) / (beta + 1.0) - math.fsum(weights))
     return roots, weights

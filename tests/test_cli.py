@@ -8,6 +8,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -75,6 +76,14 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert err == "error: ABM corrector produced non-finite capital inf at t=0.0078125\n"
+
+    @pytest.mark.parametrize("alpha", ["0.99999999999999", repr(1.0 - 2.0 ** -52)])
+    def test_abm_alpha_next_to_1_runs(self, capsys, alpha):
+        # The Gauss-Jacobi node next to -1 rounds to -1 here; it divided by 1 - x^2 = 0.
+        code, out, err = run_cli(capsys, "solve", "--method", "abm", "--alpha", alpha,
+                                 "--samples", "2", "--t-max", "1")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 3
 
     @pytest.mark.parametrize("command", ["solve", "equilibria"])
     def test_k_star_overflow_is_named(self, capsys, command):
@@ -344,7 +353,7 @@ class TestSweep:
         assert [f["axis"] for f in meta["failures"]] == sorted({a for _, a, *_ in rows})
         for failure in meta["failures"]:
             assert failure["method"] == "abm"
-            assert failure["reason"].startswith("ABM predictor produced nonpositive capital")
+            assert failure["reason"].startswith("ABM corrector found no positive capital")
 
     def test_sidecar_records_non_finite_abm_cells(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
@@ -674,12 +683,21 @@ class TestTinyAlpha:
         assert code == 0, err
         assert err == ""
 
-    @pytest.mark.parametrize("command", [["solve", "--method", "abm"], ["compare"]])
-    def test_abm_step_weight_overflow_is_named(self, capsys, command):
-        # h**alpha / alpha overflows below alpha ~ 5.6e-309, before any capital is formed
-        code, out, err = run_cli(capsys, *command, "--alpha", "1e-310", "--samples", "2", "--t-max", "1")
-        assert (code, out) == (2, "")
-        assert err == "error: ABM step weight h^alpha/(alpha*Gamma(alpha)) overflows at alpha=1e-310\n"
+    def test_abm_at_alpha_1e_310_solves_the_alpha_0_limit(self, capsys):
+        # As alpha -> 0 the corrector's factor h^alpha / Gamma(alpha + 2) -> 1 and
+        # every memory weight -> 0, so each k_n (n >= 1) is the root of
+        # k - k0 = f(k).  A predictor's step weight h^alpha / alpha overflowed here.
+        code, out, err = run_cli(capsys, "solve", "--method", "abm", "--alpha", "1e-310",
+                                 "--samples", "5", "--t-max", "1")
+        assert (code, err) == (0, "")
+        p, q, mu, k0 = (REFERENCE_PARAMS.p, REFERENCE_PARAMS.q, REFERENCE_PARAMS.mu,
+                        REFERENCE_PARAMS.k0)
+        with mp.workdps(30):
+            root = float(mp.findroot(lambda k: k - k0 - (p * k ** mp.mpf(mu) - q * k), k0))
+        values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert values[0] == k0
+        for k in values[1:]:  # measured: 1.5e-16
+            assert abs(k - root) <= 4e-16 * root
 
 
 ALL_FLAGS = sorted({"--" + key.replace("_", "-") for kinds in FLAG_KINDS.values() for key in kinds})

@@ -22,7 +22,7 @@ GOLDEN = {
     "sweep fig-ktalpha series meta":
         "2432d5993b20ecd0a743653c8468b83e979bdba0a71d3132356248c77ff2fa40",
     "sweep fig-ktalpha both csv":
-        "e3eebfd9b3f493b0f3bffbfc24714b6d2e7ee73c0868f642997f80a57a314c62",
+        "0b43f0dda25b30fb08ececf5c761753d49cd3869f5a496b6ba369abb112bff65",
     "sweep fig-ktalpha both meta":
         "f5e19767f9315dca08db15393b8a229cac896dc72f10534e75f2572168924f20",
     "sweep fig-ktmu series csv":
@@ -54,11 +54,11 @@ GOLDEN = {
     "sweep fig-ktq-frac series meta":
         "3665602d04510a614c2ddda1cbe195426c62d540096fe87600393739709ed0c2",
     "sweep fig-ktq-frac both csv":
-        "739a47971b19d166d6766bcc6e0094601c2269b7f1f4190795f96dc5453ba647",
+        "fdbeb5613ef6b33376e0f93030088b40de87f092827981e400c1bf78a32d85dc",
     "sweep fig-ktq-frac both meta":
         "b7996a3e20c3a40e0b1bed648a4fd4f10309270f53be7eead92e32e09c2e2974",
     "sweep custom both csv":
-        "5ea4c5d466e82ed6d922f629c9ae8111aaead5e1daca4c86999c774194121111",
+        "a79bdf550838e707a3b3ad15811cd8100ad6cf0b53fca8e4ebab79adf238e8b7",
     "sweep custom both meta":
         "845f6e135e9f497bf3d33c4df4cee295b36eb805a674bf0fee03f24ba4a77a96",
     "sweep fig-ktq overridden csv":
@@ -70,19 +70,19 @@ GOLDEN = {
     "solve alpha=1 exact":
         "161cb3d85090e47f88a1ffdbb7812b402532105f8a587d883afa5e3e220d3715",
     "solve alpha=1 abm":
-        "bf740f63fe2c1a23ed2c13c1b4b3e51d94fc99002c83ed169c68e90d8b141b8b",
+        "01494f9cca735cfe1d6db8c471f74fba7ce15e0c9f3a3fee78c591366e734598",
     "solve alpha=1 both":
         "5f90c86707895bc55dd2ae6aa58eee63a1252fce6a79a7d96d17a2cb55014bd4",
     "solve alpha=0.8 series":
         "e99b1857b096cb8b9ae81d32d746fb35215a327cd01727ba5c32575883d9f1a4",
     "solve alpha=0.8 abm":
-        "63209ace1fa04c8e4345136c8e59b90507659c83aa255aa14098d39598d204a7",
+        "fe3b63f0651c873953326387421f886a9a1ef73bc34eb7118e2bacc0ce15ff65",
     "solve alpha=0.8 both":
-        "8497ed4ddf322bd3ace5a36e42f2b9648fcd4c7588de81390ab7dcc3877bed13",
+        "2e229303c47b93ea06fe3859aac370065551f5dde578b5e332b00743b6b9abe9",
     "compare alpha=1":
         "2e5acd2685a611fb729c7ef731c90165d6d678e4f8a041fe17f960b57c6e13b4",
     "compare alpha=0.8":
-        "df445a3cd81a056cccd0fc070b1ed2c60ad88cf712b0946babcf112e9fefae30",
+        "277353ad712c6a54bb849e8db9a4aa99fb20b28395db0c498ebf8d977ebeb998",
     "verify":
         "b7a801000d1e66efae71afa016b86358148cf0bbec3e572e42c7e68bbd2164e9",
 }

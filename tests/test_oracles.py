@@ -9,9 +9,12 @@ import pytest
 from mu_edge_references import EDGE_CASES, edge_cases
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import (
+    NEWTON_CAP,
+    NEWTON_TOL,
     WINDOW,
     _history_modes,
     _jacgauss,
+    _window_weights,
     exact_classical_value,
     solve_abm_fractional,
 )
@@ -19,48 +22,74 @@ from solowfrac.special import ln_gamma
 from solowfrac.sweep import PRESETS, run_sweep, time_grid
 
 
+def _corrector_weight(alpha, m):
+    """c_m = (m+1)^b + (m-1)^b - 2 m^b, b = alpha + 1, without its cancellation:
+    from m = 4 on, 2 m^b sum_(j>=1) C(b, 2j) m^(-2j) with b - 1 taken as
+    alpha, and below that e(m+1) + e(m-1) - 2 e(m), e(i) = i expm1(alpha ln i)."""
+    if m < 4:
+        e = [i * math.expm1(alpha * math.log(max(i, 1))) for i in (m + 1, m - 1, m)]
+        return e[0] + e[1] - 2.0 * e[2]
+    binom = [alpha * (alpha + 1.0) / 2.0]
+    for j in range(2, 15):
+        binom.append(binom[-1] * (alpha + 3 - 2 * j) * (alpha + 2 - 2 * j) / ((2 * j - 1) * 2 * j))
+    total = 0.0
+    for b in reversed(binom):
+        total = (total + b) / (m * m)
+    return 2.0 * m * m ** alpha * total
+
+
 def _abm_reference(params, t_end, steps):
-    """ABM values from the memory sums written as plain double loops.
+    """ABM values from the solved corrector with its memory sum written as a
+    plain double loop.
 
-    Every weight is the exact formula, and every memory term is added one at
-    a time, oldest first.  The solver must reproduce the first WINDOW + 2
-    values bit for bit (all of them on runs of at most WINDOW + 1 steps),
-    stay within 1e-10 relative past them, and fail where and how this does.
+    Every weight is the formula above, every memory term is added one at a
+    time, oldest first, and each step's corrector k = k0 + c (f(k) + acc)
+    is solved by the same safeguarded Newton iteration as the solver's.  The
+    solver must reproduce the first WINDOW + 2 values bit for bit (all of
+    them on runs of at most WINDOW + 1 steps), stay within 1e-10 relative
+    past them, and fail where and how this does.
     """
-    alpha = params.alpha
+    alpha, p, q, mu, k0 = params.alpha, params.p, params.q, params.mu, params.k0
     h = t_end / steps
-    h_alpha = h ** alpha
-    inv_gamma_a = math.exp(-ln_gamma(alpha))
-    inv_gamma_a2 = math.exp(-ln_gamma(alpha + 2.0))
+    c = h ** alpha * math.exp(-ln_gamma(alpha + 2.0))
+    weights = [0.0] + [_corrector_weight(alpha, m) for m in range(1, steps + 1)]
 
-    k = [params.k0]
-    f = [params.rhs(params.k0)]
-    pow_a = [j ** alpha for j in range(steps + 2)]
-    pow_a1 = [j ** (alpha + 1.0) for j in range(steps + 2)]
-    b = [pow_a[m + 1] - pow_a[m] for m in range(steps + 1)]
-    c = [0.0] + [pow_a1[m + 1] + pow_a1[m - 1] - 2.0 * pow_a1[m] for m in range(1, steps + 1)]
-
+    k = [k0]
+    f = [params.rhs(k0)]
     for n in range(steps):
-        acc = 0.0
-        for j in range(n + 1):
-            acc += b[n - j] * f[j]
-        k_pred = params.k0 + inv_gamma_a * (h_alpha / alpha) * acc
-        if k_pred <= 0:
-            raise ArithmeticError(
-                f"ABM predictor produced nonpositive capital {k_pred} at "
-                f"t={h * (n + 1):.6g}; the model is only meaningful for k > 0"
-            )
-        acc = (pow_a1[n] - (n - alpha) * pow_a[n + 1]) * f[0]
+        acc = (n ** (alpha + 1.0) - (n - alpha) * (n + 1) ** alpha) * f[0]
         for j in range(1, n + 1):
-            acc += c[n + 1 - j] * f[j]
-        k_next = params.k0 + inv_gamma_a2 * h_alpha * (params.rhs(k_pred) + acc)
-        if k_next <= 0:
-            raise ArithmeticError(
-                f"ABM corrector produced nonpositive capital {k_next} at "
-                f"t={h * (n + 1):.6g}; the model is only meaningful for k > 0"
-            )
-        k.append(k_next)
-        f.append(params.rhs(k_next))
+            acc += weights[n + 1 - j] * f[j]
+        rest = k0 + c * acc
+        x = k[n] + (k[n] - k[n - 1]) if n else k0
+        if not 0.0 < x < math.inf:
+            x = k[n]
+        for _ in range(NEWTON_CAP):
+            x_mu = x ** mu
+            slope = 1.0 - c * (p * mu * x_mu / x - q)
+            if not slope > 0.0:
+                try:
+                    x *= 2.0 * (1.0 - slope / (1.0 + c * q)) ** (1.0 / (1.0 - mu))
+                except OverflowError:
+                    x = math.inf
+                if not x < math.inf:
+                    break
+                continue
+            step = (x - c * (p * x_mu - q * x) - rest) / slope
+            if step >= x:
+                x *= 0.5
+                continue
+            x -= step
+            if abs(step) <= NEWTON_TOL * x:
+                break
+        else:
+            if x < math.inf:
+                raise ArithmeticError(f"ABM corrector found no positive capital within {NEWTON_CAP} "
+                                      f"Newton iterations at t={h * (n + 1):.6g}")
+        if not x < math.inf:
+            raise ArithmeticError(f"ABM corrector produced non-finite capital {x} at t={h * (n + 1):.6g}")
+        k.append(x)
+        f.append(params.rhs(x))
     return tuple(k)
 
 
@@ -223,7 +252,7 @@ class TestABMReference:
 
     # Longer runs send terms older than WINDOW steps through the modes: the
     # first WINDOW + 1 steps stay exact, and no value may move by more than
-    # 1e-10 relative (measured: <= 8.2e-12).
+    # 1e-10 relative (measured: <= 5.5e-15).
     @pytest.mark.parametrize("steps, count", [
         (32, 4), (33, 4), (128, 4), (129, 4), (280, 6), (512, 2), (513, 6),
         (2048, 4), (4096, 4),
@@ -235,38 +264,48 @@ class TestABMReference:
             assert got[:WINDOW + 2] == want[:WINDOW + 2]
             assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-10
 
-    @pytest.mark.parametrize("params, t_end, stage", [
-        (REFERENCE_PARAMS.with_(alpha=0.8, q=1e300), 2.0, "predictor"),
-        (REFERENCE_PARAMS.with_(alpha=0.8), 1e306, "corrector"),
-    ])
-    def test_failure_matches_double_loop(self, params, t_end, stage):
+    # Where the step is too stiff for q the corrector has no positive root.
+    @pytest.mark.parametrize("params, t_end, message", [
+        (REFERENCE_PARAMS.with_(alpha=0.8, q=1e300), 2.0,
+         "ABM corrector found no positive capital within 64 Newton iterations at t=0.0078125"),
+        (REFERENCE_PARAMS.with_(q=1000.0), 1.0,
+         "ABM corrector found no positive capital within 64 Newton iterations at t=0.00390625"),
+    ], ids=["q=1e300-alpha=0.8", "q=1000-alpha=1"])
+    def test_failure_matches_double_loop(self, params, t_end, message):
         with pytest.raises(ArithmeticError) as expected:
             _abm_reference(params, t_end, 256)
         with pytest.raises(ArithmeticError) as got:
             solve_abm_fractional(params, t_end=t_end, steps=256)
-        assert str(expected.value).startswith(f"ABM {stage} produced nonpositive capital")
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == str(expected.value) == message
+
+    def test_huge_steps_match_double_loop(self):
+        # Steps of ~4e303: k stays positive, swinging about k* before settling,
+        # as the trapezoid rule does on stiff steps.
+        params = REFERENCE_PARAMS.with_(alpha=0.8)
+        got = solve_abm_fractional(params, t_end=1e306, steps=256)
+        want = _abm_reference(params, 1e306, 256)
+        assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-10
+        assert abs(got[-1] - params.k_star) / params.k_star <= 1e-6
 
     def test_failure_in_a_long_run_matches_double_loop(self):
-        # Subnormal capital keeps every memory sum exact, so at alpha = 1 the
-        # history's one mode and the double loop add the same numbers: the
-        # predictor overshoots at step 406, with the modes in use since WINDOW + 1.
-        params = ModelParams(p=1e-300, q=1.0, mu=0.5, alpha=1.0, k0=1e-310)
+        # The memory sum of a run growing like (p t / 2)^2 overflows at step 49,
+        # with the modes in use since WINDOW + 1.
+        params = ModelParams(p=1e154, q=0.2, mu=0.5, alpha=0.3, k0=1.0)
         with pytest.raises(ArithmeticError) as expected:
             _abm_reference(params, 7.5, 600)
         with pytest.raises(ArithmeticError) as got:
             solve_abm_fractional(params, t_end=7.5, steps=600)
-        assert str(expected.value).startswith(
-            "ABM predictor produced nonpositive capital -7.621649536e-315 at t=5.0875;")
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == str(expected.value) == (
+            "ABM corrector produced non-finite capital inf at t=0.6125")
 
     def test_non_finite_capital_fails(self):
-        # The double loop lets the overflow through as NaN values.
         params = REFERENCE_PARAMS.with_(alpha=0.8, p=1e300)
-        assert any(math.isnan(v) for v in _abm_reference(params, 2.0, 256))
-        with pytest.raises(ArithmeticError) as exc:
+        with pytest.raises(ArithmeticError) as expected:
+            _abm_reference(params, 2.0, 256)
+        with pytest.raises(ArithmeticError) as got:
             solve_abm_fractional(params, t_end=2.0, steps=256)
-        assert str(exc.value) == "ABM corrector produced non-finite capital inf at t=0.0078125"
+        assert str(got.value) == str(expected.value) == (
+            "ABM corrector produced non-finite capital inf at t=0.0078125")
 
     def test_non_finite_t_end_rejected(self):
         with pytest.raises(ValueError, match="t_end must be finite, got inf"):
@@ -276,8 +315,8 @@ class TestABMReference:
 class TestMuEdges:
     """The ABM against the exact solutions at mu = 1e-14 and 1 - 1e-14."""
 
-    # Measured worst gaps: 2.5e-5 at 280 steps and 1.9e-6 at 2,048 (alpha = 0.3);
-    # at alpha = 1, 4.6e-7 and 8.6e-9 (mu -> 1).
+    # Measured worst gaps: 3.9e-5 at 280 steps and 2.9e-6 at 2,048 (alpha = 0.3,
+    # mu -> 0); at alpha = 1, 2.3e-7 and 4.3e-9 (mu -> 1).
     @pytest.mark.parametrize("steps, tol", [(280, 1e-4), (2048, 1e-5)])
     @pytest.mark.parametrize("params, reference", EDGE_CASES + edge_cases((1.0,)))
     def test_abm_matches_exact_edge(self, params, reference, steps, tol):
@@ -287,29 +326,34 @@ class TestMuEdges:
             assert abs(values[i] - want) / want <= tol, i
 
     # To t = 50 at 2,048 steps (h = 0.0244), measured before setting the gate of
-    # 1e-4: worst 2.1e-5 (mu -> 1, alpha = 0.95); at alpha = 1, 1.5e-6 (mu -> 0).
-    @pytest.mark.parametrize("params, reference",
-                             EDGE_CASES + edge_cases((1.0,), edges=("mu0",)))
+    # 1e-4: worst 1.5e-5 at alpha < 1 (mu -> 1, alpha = 0.3); at alpha = 1,
+    # 6.7e-5 (mu -> 1, where a one-pass corrector went below 0 near t = 18.7).
+    @pytest.mark.parametrize("params, reference", EDGE_CASES + edge_cases((1.0,)))
     def test_abm_matches_exact_edge_to_t50(self, params, reference):
         values = solve_abm_fractional(params, t_end=50.0, steps=2048)
         for i in range(256, 2049, 256):  # t = 6.25, 12.5, ..., 50
             want = reference(params, i * (50.0 / 2048))
             assert abs(values[i] - want) / want <= 1e-4, i
 
-    # At alpha = 1 the predictor is about k_n + h (f(k0) + f(k_n)) / 2, which keeps an
-    # error near h f(k0) / 2 once f(k_n) has decayed: on the mu -> 1 edge
-    # k = k0 e^(-0.3 t) falls below it near t = 18.7 and the run stops (ROADMAP
-    # item 21), at 4,096 and 8,192 steps too (t = 21.0 and 23.3).
-    @pytest.mark.parametrize("params, reference", edge_cases((1.0,), edges=("mu1",)))
-    def test_abm_stops_on_the_decaying_edge_at_alpha_1(self, params, reference):
-        with pytest.raises(ArithmeticError, match=r"^ABM predictor produced nonpositive capital -\S+ at t=18\.7012;"):
-            solve_abm_fractional(params, t_end=50.0, steps=2048)
-
 
 class TestHistoryKernel:
-    """The modes against 40-digit weights b_m and c_m, m in [WINDOW, steps]."""
+    """The corrector weights c_m against 40-digit values: the window's exact
+    formula for ages 1..WINDOW, the modes for ages WINDOW + 1..steps."""
 
-    ALPHAS = [1e-4, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0 - 1e-9, 1.0]
+    ALPHAS = [1e-4, 0.05, 0.3, 0.5, 0.8, 0.95, 1.0 - 1e-9, 1.0 - 1e-14, 1.0 - 2.0 ** -52, 1.0]
+
+    @staticmethod
+    def exact_weight(alpha, m):
+        a = mp.mpf(alpha)
+        return (m + 1) ** (a + 1) + (m - 1) ** (a + 1) - 2 * m ** (a + 1)
+
+    # The plain formula was 1.0e-9 off at alpha = 1e-4, m = 16 (measured: 5.2e-15).
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_window_weights_without_cancellation(self, alpha):
+        with mp.workdps(40):
+            for m, got in zip(range(WINDOW, 0, -1), _window_weights(alpha)):
+                want = self.exact_weight(alpha, m)
+                assert abs(got - want) / want <= 1e-14, m
 
     # 17-128 steps check the ln s rule's floor of MIN_LOG_NODES nodes, 280 a
     # sweep cell, and 1,000 and 4,096 steps its rounded-up node count at
@@ -317,25 +361,22 @@ class TestHistoryKernel:
     @pytest.mark.parametrize("steps", [17, 32, 64, 128, 280, 513, 1000, 2048, 4096, 16384])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_modes_reproduce_weights(self, steps, alpha):
-        decay, wb, wc = _history_modes(alpha, steps)
+        decay, wc = _history_modes(alpha, steps)
         # every age just past the window, then log-spaced ages up to the run's length
         ages = sorted(m for m in {steps - 1, steps} | set(range(WINDOW, WINDOW + 65))
                       | {round(WINDOW * (steps / WINDOW) ** (i / 24)) for i in range(25)}
                       if WINDOW <= m <= steps)
         worst = 0.0
         with mp.workdps(40):
-            a = mp.mpf(alpha)
             for m in ages:
-                b = (m + 1) ** a - m ** a
-                c = (m + 1) ** (a + 1) + (m - 1) ** (a + 1) - 2 * m ** (a + 1)
-                got_b = math.fsum(w * d ** (m - WINDOW) for w, d in zip(wb, decay))
-                got_c = math.fsum(w * d ** (m - WINDOW - 1) for w, d in zip(wc, decay))
-                worst = max(worst, abs(got_b - b) / b, abs(got_c - c) / c)
+                c = self.exact_weight(alpha, m)
+                got = math.fsum(w * d ** (m - WINDOW - 1) for w, d in zip(wc, decay))
+                worst = max(worst, abs(got - c) / c)
         assert worst <= 1e-12
 
-    # A run pays 2 * WINDOW + 3 * modes products per step; these caps keep
-    # that at most 2 * 16 + 3 * 33 = 131 on a 280-step sweep cell and
-    # 2 * 16 + 3 * 44 = 164 at 2,048 steps.
+    # A run pays WINDOW + 2 * modes products per step; these caps keep that
+    # at most 16 + 2 * 33 = 82 on a 280-step sweep cell and 16 + 2 * 44 = 104
+    # at 2,048 steps.
     @pytest.mark.parametrize("steps, most", [(280, 33), (2048, 44), (16384, 56)])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_mode_count(self, steps, most, alpha):
@@ -355,7 +396,7 @@ class TestHistoryModeCache:
 
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     def test_tables_are_tuples(self, alpha):
-        assert [type(table) for table in _history_modes(alpha, 280)] == [tuple] * 3
+        assert [type(table) for table in _history_modes(alpha, 280)] == [tuple] * 2
 
 
 class TestGaussJacobi:

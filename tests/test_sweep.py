@@ -200,7 +200,7 @@ class TestRunSolve:
     def test_solver_failure_raises(self):
         # A sweep turns this cell into NaN rows; a single solve must refuse it.
         stiff = REFERENCE_PARAMS.with_(q=1000.0)
-        with pytest.raises(ValueError, match="nonpositive capital"):
+        with pytest.raises(ValueError, match="no positive capital"):
             run_solve(stiff, t_max=1.0, samples=5, method="abm")
         cfg = small_config(base=stiff, axis="p", axis_range=(0.4, 0.6, 2), method="abm")
         assert all(math.isnan(r[2]) and not r[3] for r in run_sweep(cfg).rows)
