@@ -683,6 +683,18 @@ class TestTinyAlpha:
         assert code == 0, err
         assert err == ""
 
+    @pytest.mark.parametrize("command", [["solve", "--method", "abm"], ["compare"]])
+    def test_abm_step_weight_overflow_is_named(self, capsys, command):
+        # A predictor's step weight h**alpha / alpha overflowed below alpha ~ 5.6e-309
+        # and was named as an error.  The solved corrector has no such weight, so no
+        # overflow is left to name: both commands run, every point trusted.
+        code, out, err = run_cli(capsys, *command, "--alpha", "1e-310", "--samples", "2", "--t-max", "1")
+        assert (code, err) == (0, "")
+        if command[0] == "compare":
+            assert out.startswith("series (order 8) vs abm-fractional: 2/2 trusted points")
+        else:
+            assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["true", "true"]
+
     def test_abm_at_alpha_1e_310_solves_the_alpha_0_limit(self, capsys):
         # As alpha -> 0 the corrector's factor h^alpha / Gamma(alpha + 2) -> 1 and
         # every memory weight -> 0, so each k_n (n >= 1) is the root of
