@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 # Submodule -> the names it exports, in `__all__` order.
 _MODULE_EXPORTS = {
     "model": ("ModelParams", "REFERENCE_PARAMS"),
-    "special": ("ln_gamma",),
     "series": ("build_series", "eval_series"),
     "oracles": ("exact_classical_value", "solve_abm_fractional"),
     "equilibrium": ("find_equilibria",),

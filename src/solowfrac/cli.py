@@ -316,7 +316,7 @@ def _cmd_verify(flags, s) -> int:
     sys.stdout.write("failing identities:\n")
     for rep in reports:
         for label, dev in rep["rows"]:
-            if dev > rep["tol"]:
+            if not dev <= rep["tol"]:  # NaN rows fail too
                 sys.stdout.write(f"  {rep['name']}: {label} deviation {dev:.3e}\n")
     return 1
 

@@ -33,7 +33,6 @@ import math
 from operator import mul
 
 from .model import ModelParams, check_positive
-from .special import ln_gamma
 
 __all__ = ["exact_classical_value", "solve_abm_fractional"]
 
@@ -108,8 +107,8 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[
     positive and finite) reaches its largest root: where g' <= 0 the iterate
     jumps to twice the minimum of g, and where a step would leave k <= 0 it
     halves.  A step ends once its Newton correction is at most NEWTON_TOL * k.
-    ArithmeticError when no positive root turns up within NEWTON_CAP
-    iterations, or when capital becomes non-finite.
+    ArithmeticError, naming the stiffness c q, when no positive root turns up
+    within NEWTON_CAP iterations, or when capital becomes non-finite.
     """
     check_positive("t_end", t_end)
     if steps < MIN_ABM_STEPS:
@@ -117,7 +116,7 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[
 
     alpha, p, q, mu, k0 = params.alpha, params.p, params.q, params.mu, params.k0
     h = t_end / steps
-    c = h ** alpha * math.exp(-ln_gamma(alpha + 2.0))
+    c = h ** alpha / math.gamma(alpha + 2.0)
     pmu = p * mu
     k = [k0]
     f0 = params.rhs(k0)
@@ -151,9 +150,11 @@ def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[
             if abs(step) <= NEWTON_TOL * x:
                 break
         else:
-            if x < math.inf:
+            if x < math.inf:  # c q = h q / 2 at alpha = 1, so t_end q / 2 steps make it 1
+                more = f"; {t_end * q / 2:.6g} steps make it 1" if alpha == 1.0 else ""
                 raise ArithmeticError(f"ABM corrector found no positive capital within {NEWTON_CAP} "
-                                      f"Newton iterations at t={h * (n + 1):.6g}")
+                                      f"Newton iterations at t={h * (n + 1):.6g}: "
+                                      f"stiffness c*q = {c * q:.3g}{more}")
         if not x < math.inf:
             raise ArithmeticError(f"ABM corrector produced non-finite capital {x} at t={h * (n + 1):.6g}")
         k.append(x)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 from .model import ModelParams
-from .special import ln_gamma
 
 __all__ = [
     "build_series",
@@ -81,15 +80,15 @@ def build_series(params: ModelParams, order: int = DEFAULT_ORDER) -> tuple[float
     # constant series, so the first rate is pinned to zero in that case and
     # the recursion propagates the zeros on its own.
     rate = 0.0 if params.at_equilibrium() else params.rhs(params.k0)
-    ln_gamma_n = ln_gamma(1.0)
+    gamma_n = 1.0  # Gamma(n*alpha + 1) at n = 0
     for n in range(order):
         if n:
             a.append(miller_step(mu, c, a))
             rate = p * a[n] - q * c[n]
-        # Gamma(n*alpha + 1) / Gamma((n+1)*alpha + 1), one ln_gamma per order
-        ln_gamma_next = ln_gamma((n + 1) * alpha + 1.0)
-        c.append(rate * math.exp(ln_gamma_n - ln_gamma_next))
-        ln_gamma_n = ln_gamma_next
+        # Gamma(n*alpha + 1) / Gamma((n+1)*alpha + 1); arguments <= 65, Gamma overflows past 171.6
+        gamma_next = math.gamma((n + 1) * alpha + 1.0)
+        c.append(rate * (gamma_n / gamma_next))
+        gamma_n = gamma_next
         if not math.isfinite(c[-1]):
             raise ArithmeticError(f"series coefficient at order {n + 1} is {c[-1]}: "
                                   "the series overflows double precision")

@@ -1,6 +1,7 @@
 """Functions that only the test suite calls, kept out of the package so that
 no command pays to compile them.  Each is the package's former code, moved
-unchanged: `gamma_ratio` from `special`, `balanced_growth_capital` from
+unchanged: `gamma_ratio` from `special` (now on `math.lgamma`, as `special`
+and its ln Gamma are gone), `balanced_growth_capital` from
 `equilibrium`, `parse_csv` from `sweep` and `build_parser`, the argparse
 parser that `cli.parse_args` replaced, from `cli`.
 """
@@ -12,7 +13,6 @@ import warnings
 from solowfrac.cli import CHOICES, COMMAND_KEYS, DEFAULTS, HELP, SUMMARY
 from solowfrac.model import ModelParams
 from solowfrac.oracles import exact_classical_value
-from solowfrac.special import ln_gamma
 from solowfrac.sweep import CSV_HEADER, Row
 
 NEAR_EQUILIBRIUM_REL = 0.01
@@ -22,7 +22,7 @@ def gamma_ratio(a: float, b: float) -> float:
     """Gamma(a)/Gamma(b) via the log domain, immune to overflow of either factor."""
     if not (a > 0 and b > 0):
         raise ValueError(f"gamma_ratio requires positive arguments, got a={a}, b={b}")
-    return math.exp(ln_gamma(a) - ln_gamma(b))
+    return math.exp(math.lgamma(a) - math.lgamma(b))
 
 
 def balanced_growth_capital(params: ModelParams, L0: float, psi: float, t: float) -> float:

@@ -7,7 +7,6 @@ series engine (`solowfrac.series.build_series`) that they check.
 import math
 
 from solowfrac.model import ModelParams
-from solowfrac.special import ln_gamma
 
 
 def rhs_derivative(params: ModelParams, k: float) -> float:
@@ -58,9 +57,9 @@ def fractional_low_order_coeffs(params: ModelParams) -> list[float]:
     p, q, mu, alpha, k0 = params.p, params.q, params.mu, params.alpha, params.k0
     b = 0.0 if params.at_equilibrium() else params.rhs(k0)
     d = rhs_derivative(params, k0)
-    g1 = math.exp(ln_gamma(alpha + 1.0))
-    g2 = math.exp(ln_gamma(2.0 * alpha + 1.0))
-    g3 = math.exp(ln_gamma(3.0 * alpha + 1.0))
+    g1 = math.gamma(alpha + 1.0)
+    g2 = math.gamma(2.0 * alpha + 1.0)
+    g3 = math.gamma(3.0 * alpha + 1.0)
     r = g2 / (g1 * g1)
     c1 = b / g1
     c2 = b * d / g2

@@ -527,6 +527,32 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert all(line.startswith("PASS") for line in out.splitlines())
 
+    @pytest.mark.parametrize("q", ["1e10", "1e300"])
+    def test_first_derivative_rows_follow_a_fast_k(self, capsys, q):
+        # k relaxes on the time scale 1/(q (1 - mu)), which the nodes at a fixed
+        # u missed: deviations up to 1.5e-4 at q = 1e10, and 1.0 at 1e300
+        code, out, err = run_cli(capsys, "verify", "--q", q)
+        assert (code, err) == (0, "")
+        assert all(line.startswith("PASS") for line in out.splitlines())
+        code, out, _ = run_cli(capsys, "verify", "--q", q, "--json")
+        reports = json.loads(out)["reports"]
+        rows = [rep for rep in reports if rep["name"] == "derivative rules"][0]["rows"]
+        u_scale = 1.0 / (float(q) * (1.0 - REFERENCE_PARAMS.mu))
+        assert [label for label, _ in rows[:3]] == [f"first-derivative u={u * u_scale:g}"
+                                                    for u in (0.1, 0.5, 1.0)]
+
+    def test_nan_row_fails_wherever_it_stands(self):
+        for rows in ([("a", 1e-7), ("b", math.nan)], [("b", math.nan), ("a", 1e-7)]):
+            report = _report("x", rows)
+            assert report["passed"] is False and math.isnan(report["max_deviation"])
+
+    def test_overflowing_rate_still_fails(self, capsys):
+        # q k0 overflows, so S[k'] is -inf and each first-derivative row NaN
+        code, out, _ = run_cli(capsys, "verify", "--p", "1e8", "--k0", "1e300", "--q", "1e10")
+        assert code == 1
+        assert "FAIL  derivative rules" in out
+        assert "derivative rules: first-derivative u=1.5e-11 deviation nan\n" in out
+
 
 class TestCompare:
     def test_classical_compare_passes(self, capsys):
@@ -678,7 +704,7 @@ class TestTinyAlpha:
         ["solve", "--method", "abm", "--alpha", "1e-308", "--samples", "2", "--t-max", "1"],
     ])
     def test_alpha_near_zero_runs(self, capsys, argv):
-        # ln_gamma(alpha) divided by zero for alpha below ~1.1e-16
+        # a Lanczos ln Gamma(alpha) divided by zero for alpha below ~1.1e-16
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert err == ""

@@ -18,73 +18,73 @@ from solowfrac.sweep import PRESETS, rows_to_csv, run_solve
 
 GOLDEN = {
     "sweep fig-ktalpha series csv":
-        "3209d937c0ecba7bc7c79114846d5a5af964158842b7446afa16d4ae272fe7a6",
+        "8cff1ade03c3774db14f3cdb13cbd261ea727235033963b15d79637b17d7d9a9",
     "sweep fig-ktalpha series meta":
         "2432d5993b20ecd0a743653c8468b83e979bdba0a71d3132356248c77ff2fa40",
     "sweep fig-ktalpha both csv":
-        "0b43f0dda25b30fb08ececf5c761753d49cd3869f5a496b6ba369abb112bff65",
+        "c34395df1772712abde2dcb32687fa9058613c3f513bad96e87e3b005378c7cb",
     "sweep fig-ktalpha both meta":
         "f5e19767f9315dca08db15393b8a229cac896dc72f10534e75f2572168924f20",
     "sweep fig-ktmu series csv":
-        "b779fd60993a8be32fba3fab3f684ca75b58cef509e9a028e1f5aeccdeefaa2d",
+        "f901870a82964effa5d767aa36c0a7209bcc991cb1c36f87dbfeff2639c43e90",
     "sweep fig-ktmu series meta":
         "cec0e74e24c6e6b676d47032153e3842e0c0bb88325abf51207b3af43f268b6e",
     "sweep fig-ktmu both csv":
-        "ed7d7c901edc3529385033f92b8647291383b8411f984ed07ae790e3534e290b",
+        "966389dafec1e8d267dfa7642d1824b78efcfe5890d0a13615886ae7c55b837c",
     "sweep fig-ktmu both meta":
         "57a6e5e35c88c988c24e132c321ae9d321d3dc53c80fbdf8bd682be7804875fe",
     "sweep fig-ktp series csv":
-        "8b43e1f84c4e35bc51d646f4a00f4cbbd73052e46d43ea55d0eb5006659b1fe5",
+        "981a222abfb8edc1ea20e65ce3dbb9f16b173ae184a992b761596bb0aa30c6fd",
     "sweep fig-ktp series meta":
         "48166063d0469f674a91f6491f9cb2ccd79c4cd9a1d8c983fde636c2bd27dc1b",
     "sweep fig-ktp both csv":
-        "ddaeddb6e413b10d206eae258ad874794517bf91a80c270f7fea1f5401bb8dbb",
+        "bf94a44e8a620e9f86cb10228a783d5f68de8aac482668dd16156d55882ce5db",
     "sweep fig-ktp both meta":
         "ba1601615f472d2293a09d92ca5ad9c2c9869b552928c50489f6d09abcd67083",
     "sweep fig-ktq series csv":
-        "49e7595aa3dd8dcb0ead9d76a012d66cef46d512530cd3178a2be3ed69897fb4",
+        "1f4263c34a0f910b58e199ea49d25a29184d66a3ab682132c20c0e258049be3f",
     "sweep fig-ktq series meta":
         "b5d52eb3ee8161210cfc964f7393b8a60a8b99c592ce42154f52dc743bdd2508",
     "sweep fig-ktq both csv":
-        "0ffeb7b7a549cea146a38b3ae64c0e52ed9e0e9698d4fb604e580f3a0ba2c382",
+        "19a0bf624ddc57010662bc408e0e7a4fbcf3f97ef6d0ff0536e2f1bf35aef545",
     "sweep fig-ktq both meta":
         "6b5f11e989b902870e7f452c9ce9f0a78fbdc77bdc286686ee770025d87b34e4",
     "sweep fig-ktq-frac series csv":
-        "dd52f1fbc8769a05071539685db459382959831cf7d287bc8e01cdbae32ad7ec",
+        "fad8120aa7f21ec6eee5212186b4d270ea3f422dfe7fa90b103a350a73471310",
     "sweep fig-ktq-frac series meta":
         "3665602d04510a614c2ddda1cbe195426c62d540096fe87600393739709ed0c2",
     "sweep fig-ktq-frac both csv":
-        "fdbeb5613ef6b33376e0f93030088b40de87f092827981e400c1bf78a32d85dc",
+        "3dd0c7c3e4d74f01721612f38bdedc80f6b800d6eae72319910e77a8b3affdaa",
     "sweep fig-ktq-frac both meta":
         "b7996a3e20c3a40e0b1bed648a4fd4f10309270f53be7eead92e32e09c2e2974",
     "sweep custom both csv":
-        "a79bdf550838e707a3b3ad15811cd8100ad6cf0b53fca8e4ebab79adf238e8b7",
+        "729ca733f92804cae11e8c60387e23ffdfac7a9cdf52b27dd40e5df4f20f822f",
     "sweep custom both meta":
         "845f6e135e9f497bf3d33c4df4cee295b36eb805a674bf0fee03f24ba4a77a96",
     "sweep fig-ktq overridden csv":
-        "b14f2f3637c2b2e520d9a48e96f66e9f3bc804973dd51354d8acab1d7ce88776",
+        "e9a0693239b53e5a2ef123a0f66c8eb2007c5a438531bc6c6c6a95c35c36dc3b",
     "sweep fig-ktq overridden meta":
         "761cd8ab25a28c09ce44d9f96eb86eb81311d4e48914bfb0c68d07147f14c4c6",
     "solve alpha=1 series":
-        "8f46f9d47c9b2cb832e556e259052b8f8a9b2c77652e81bf0535f8640e3c78c5",
+        "7a84c65e4eb249a9a37c8eab302527ca8a0c7b9d8f94405e5e53c650a96a30f6",
     "solve alpha=1 exact":
         "161cb3d85090e47f88a1ffdbb7812b402532105f8a587d883afa5e3e220d3715",
     "solve alpha=1 abm":
-        "01494f9cca735cfe1d6db8c471f74fba7ce15e0c9f3a3fee78c591366e734598",
+        "9606552731b51d8973ed070df7f50f2fbe8af8c57fe2b046927685d449401031",
     "solve alpha=1 both":
-        "5f90c86707895bc55dd2ae6aa58eee63a1252fce6a79a7d96d17a2cb55014bd4",
+        "8f170d57510a68f46d377281304364e6496dfca852f1fbf79ab989e803246674",
     "solve alpha=0.8 series":
-        "e99b1857b096cb8b9ae81d32d746fb35215a327cd01727ba5c32575883d9f1a4",
+        "84bbc64623420dd9a69189730649b7377ef3141dfc26c6f2eb89d76f89a1b4cc",
     "solve alpha=0.8 abm":
-        "fe3b63f0651c873953326387421f886a9a1ef73bc34eb7118e2bacc0ce15ff65",
+        "23764317cbe456781432a2e55483e90ea93cbf8158a5b002867d6c7d14ff9312",
     "solve alpha=0.8 both":
-        "2e229303c47b93ea06fe3859aac370065551f5dde578b5e332b00743b6b9abe9",
+        "49d54f427bd14b4c6abba54f15f20c7d2eef27ee98f3306b2cb40e94a5c5e760",
     "compare alpha=1":
         "2e5acd2685a611fb729c7ef731c90165d6d678e4f8a041fe17f960b57c6e13b4",
     "compare alpha=0.8":
         "277353ad712c6a54bb849e8db9a4aa99fb20b28395db0c498ebf8d977ebeb998",
     "verify":
-        "b7a801000d1e66efae71afa016b86358148cf0bbec3e572e42c7e68bbd2164e9",
+        "23d452f211a3d347704b65ab979cab5f8b9b41d352cec1dbd520f17dcf7a4618",
 }
 
 

@@ -18,7 +18,6 @@ from solowfrac.oracles import (
     exact_classical_value,
     solve_abm_fractional,
 )
-from solowfrac.special import ln_gamma
 from solowfrac.sweep import PRESETS, run_sweep, time_grid
 
 
@@ -51,7 +50,7 @@ def _abm_reference(params, t_end, steps):
     """
     alpha, p, q, mu, k0 = params.alpha, params.p, params.q, params.mu, params.k0
     h = t_end / steps
-    c = h ** alpha * math.exp(-ln_gamma(alpha + 2.0))
+    c = h ** alpha / math.gamma(alpha + 2.0)
     weights = [0.0] + [_corrector_weight(alpha, m) for m in range(1, steps + 1)]
 
     k = [k0]
@@ -84,8 +83,10 @@ def _abm_reference(params, t_end, steps):
                 break
         else:
             if x < math.inf:
+                more = f"; {t_end * q / 2:.6g} steps make it 1" if alpha == 1.0 else ""
                 raise ArithmeticError(f"ABM corrector found no positive capital within {NEWTON_CAP} "
-                                      f"Newton iterations at t={h * (n + 1):.6g}")
+                                      f"Newton iterations at t={h * (n + 1):.6g}: "
+                                      f"stiffness c*q = {c * q:.3g}{more}")
         if not x < math.inf:
             raise ArithmeticError(f"ABM corrector produced non-finite capital {x} at t={h * (n + 1):.6g}")
         k.append(x)
@@ -267,9 +268,11 @@ class TestABMReference:
     # Where the step is too stiff for q the corrector has no positive root.
     @pytest.mark.parametrize("params, t_end, message", [
         (REFERENCE_PARAMS.with_(alpha=0.8, q=1e300), 2.0,
-         "ABM corrector found no positive capital within 64 Newton iterations at t=0.0078125"),
+         "ABM corrector found no positive capital within 64 Newton iterations at t=0.0078125: "
+         "stiffness c*q = 1.23e+298"),
         (REFERENCE_PARAMS.with_(q=1000.0), 1.0,
-         "ABM corrector found no positive capital within 64 Newton iterations at t=0.00390625"),
+         "ABM corrector found no positive capital within 64 Newton iterations at t=0.00390625: "
+         "stiffness c*q = 1.95; 500 steps make it 1"),
     ], ids=["q=1e300-alpha=0.8", "q=1000-alpha=1"])
     def test_failure_matches_double_loop(self, params, t_end, message):
         with pytest.raises(ArithmeticError) as expected:
@@ -277,6 +280,13 @@ class TestABMReference:
         with pytest.raises(ArithmeticError) as got:
             solve_abm_fractional(params, t_end=t_end, steps=256)
         assert str(got.value) == str(expected.value) == message
+
+    @pytest.mark.parametrize("q, steps", [(1000.0, 500), (1e5, 50_000)])
+    def test_named_step_count_solves_at_alpha_1(self, q, steps):
+        # The failure at alpha = 1 names t_end q / 2 steps, where c q = 1: the
+        # trapezoid's right side k_n (1 - c q) + c p k_n^mu then stays positive.
+        k = solve_abm_fractional(REFERENCE_PARAMS.with_(q=q), t_end=1.0, steps=steps)
+        assert all(0.0 < v < math.inf for v in k)
 
     def test_huge_steps_match_double_loop(self):
         # Steps of ~4e303: k stays positive, swinging about k* before settling,

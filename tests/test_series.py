@@ -6,15 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference_helpers import gamma_ratio
 from mu_edge_references import EDGE_CASES
 from series_closed_forms import classical_taylor_check, fractional_low_order_coeffs, rhs_derivative
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
 import solowfrac.series
-import solowfrac.special
 from solowfrac.series import MAX_ORDER, build_series, check_order, eval_series
-from solowfrac.special import ln_gamma
 
 
 def random_params(rng, alpha=1.0):
@@ -29,7 +26,7 @@ def random_params(rng, alpha=1.0):
 
 def _series_reference(params, order):
     """The O(order^3) build: the whole Miller prefix is rebuilt at every
-    order and each gamma ratio takes two ln_gamma calls.  Kept verbatim, with
+    order and each gamma ratio takes two math.gamma calls.  Kept verbatim, with
     the recurrence inlined, as the bit-for-bit reference of build_series."""
     check_order(order)
     alpha = params.alpha
@@ -46,7 +43,7 @@ def _series_reference(params, order):
                     s += (j * params.mu - (m - j)) * c[j] * a[m - j]
                 a.append(s / (m * c[0]))
             rate = params.p * a[n] - params.q * c[n]
-        c.append(rate * gamma_ratio(n * alpha + 1.0, (n + 1) * alpha + 1.0))
+        c.append(rate * (math.gamma(n * alpha + 1.0) / math.gamma((n + 1) * alpha + 1.0)))
         if not math.isfinite(c[-1]):
             raise ArithmeticError(f"series coefficient at order {n + 1} is {c[-1]}: "
                                   "the series overflows double precision")
@@ -128,7 +125,7 @@ class TestSeriesReference:
 
     @pytest.mark.parametrize("order", [1, 2, 5, 32, MAX_ORDER])
     def test_one_ln_gamma_and_one_miller_step_per_order(self, monkeypatch, order):
-        calls = {"ln_gamma": 0, "miller_step": 0}
+        calls = {"gamma": 0, "miller_step": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -136,11 +133,11 @@ class TestSeriesReference:
                 return fn(*args)
             return wrapper
 
-        for module, name in [(solowfrac.series, "ln_gamma"), (solowfrac.special, "ln_gamma"),
-                             (solowfrac.series, "miller_step")]:
+        for module, name in [(math, "gamma"), (solowfrac.series, "miller_step")]:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         build_series(REFERENCE_PARAMS.with_(alpha=0.6), order)
-        assert calls == {"ln_gamma": order + 1, "miller_step": order - 1}
+        # Gamma(1) = 1 needs no call, so each order takes one math.gamma
+        assert calls == {"gamma": order, "miller_step": order - 1}
 
 
 class TestBuildSeries:
@@ -150,7 +147,7 @@ class TestBuildSeries:
             params = random_params(rng, alpha=rng.choice([0.5, 0.75, 1.0]))
             coeffs = build_series(params, 3)
             b = params.p * params.k0 ** params.mu - params.q * params.k0
-            expected = b / math.exp(ln_gamma(params.alpha + 1.0))
+            expected = b / math.gamma(params.alpha + 1.0)
             assert coeffs[1] == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_equilibrium_start_is_exactly_constant(self):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from reference_helpers import gamma_ratio
-from solowfrac.special import ln_gamma
+from solowfrac.series import MAX_ORDER
 from solowfrac.transforms import (
     _ML_CONTOUR,
     _ML_TABLE_ALPHAS,
@@ -24,7 +24,6 @@ from solowfrac.transforms import (
 )
 
 # Reference values computed with 40-digit arbitrary-precision arithmetic.
-LN_GAMMA_HALF = 0.5723649429247000870717136756765293558236
 GAMMA_RATIO_18_26 = 0.6514883681927939973752724226147581459083
 ML_HALF_MINUS_ONE = 0.4275835761558070044107503444905151808202
 
@@ -32,6 +31,26 @@ ML_GRID_ALPHAS = (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.88,
                   0.9, 0.95, 0.98, 0.999)
 ML_GRID_Z = (-0.01, -0.1, -0.5, -0.51, -1.0, -3.0, -10.0, -50.0, -100.0,
              -300.0, -1000.0)
+
+GAMMA_ALPHAS = (1e-300, 1e-4, 0.05, 0.3, 0.5, 0.8, 1.0 - 1e-9, 1.0)
+GAMMA_TOL = 4e-15  # measured: 1.2e-15 for the series ratio, 5.4e-16 for the others
+
+
+def gamma_alphas() -> tuple[float, ...]:
+    """GAMMA_ALPHAS and 40 seeded draws from (0, 1]."""
+    rng = random.Random(34)
+    return GAMMA_ALPHAS + tuple(1.0 - rng.random() for _ in range(40))
+
+
+def mp_gamma_ratio(a: float, b: float):
+    """Gamma(a) / Gamma(b) at the doubles a and b, to 40 digits."""
+    with mp.workdps(40):
+        return mp.gamma(mp.mpf(a)) / mp.gamma(mp.mpf(b))
+
+
+def relative_error(got: float, want) -> float:
+    with mp.workdps(40):
+        return float(abs(mp.mpf(got) - want) / abs(want))
 
 
 def ml_negative_reference(alpha: float, x: float) -> float:
@@ -62,15 +81,15 @@ def ml_negative_reference(alpha: float, x: float) -> float:
 
 
 def ml_taylor_reference(alpha: float, z: float) -> tuple[float, int]:
-    """The compensated Taylor sum with gamma_ratio, two ln_gamma calls a term,
-    and the number of terms it took."""
+    """The compensated Taylor sum with two math.gamma calls a term, and the
+    number of terms it took."""
     total = 1.0
     comp = 0.0
     term = 1.0
     n = 0
     while True:
         n += 1
-        term = term * z * gamma_ratio(alpha * (n - 1) + 1.0, alpha * n + 1.0)
+        term = term * z * (math.gamma(alpha * (n - 1) + 1.0) / math.gamma(alpha * n + 1.0))
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -128,40 +147,39 @@ def assert_evicted_and_reused(cache, alphas):
     assert info.misses > len(set(alphas))  # some order's table was built twice
 
 
-class TestLnGamma:
-    def test_at_one(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
+class TestGammaAccuracy:
+    """Every Gamma quantity the package forms with math.gamma, against
+    40-digit mpmath at the same double arguments."""
 
-    def test_at_five(self):
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+    def test_series_ratio(self):
+        # build_series's Gamma(n alpha + 1) / Gamma((n+1) alpha + 1); measured 1.2e-15
+        worst = 0.0
+        for alpha in gamma_alphas():
+            for n in range(MAX_ORDER):
+                a, b = n * alpha + 1.0, (n + 1) * alpha + 1.0
+                got = math.gamma(a) / math.gamma(b)
+                worst = max(worst, relative_error(got, mp_gamma_ratio(a, b)))
+        assert worst <= GAMMA_TOL
 
-    def test_at_half(self):
-        assert ln_gamma(0.5) == pytest.approx(LN_GAMMA_HALF, rel=1e-13)
-        assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
+    def test_abm_weight(self):
+        # the 1 / Gamma(alpha + 2) of the ABM corrector's c = h^alpha / Gamma(alpha + 2)
+        for alpha in gamma_alphas():
+            want = mp_gamma_ratio(1.0, alpha + 2.0)
+            assert relative_error(1.0 / math.gamma(alpha + 2.0), want) <= GAMMA_TOL, alpha
 
-    @pytest.mark.parametrize("x", [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 3.7, 10.0, 123.4, 1e3, 1e4])
-    def test_relative_error_against_stdlib(self, x):
-        # math.lgamma is an independent high-quality reference
-        assert abs(ln_gamma(x) - math.lgamma(x)) <= 1e-12 * max(1.0, abs(math.lgamma(x)))
+    def test_caputo_scale(self):
+        # verify's Gamma(beta + 1) / Gamma(beta + 1 - alpha) at beta = 1.5
+        for alpha in gamma_alphas():
+            got = math.gamma(2.5) / math.gamma(2.5 - alpha)
+            assert relative_error(got, mp_gamma_ratio(2.5, 2.5 - alpha)) <= GAMMA_TOL, alpha
 
-    @pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-10, 1e-5, 9.99e-4, 5e-324])
-    def test_below_the_lanczos_range(self, x):
-        # x - 1.0 + 1 is 0.0 below ~1.1e-16, so the Lanczos sum divided by zero
-        assert abs(ln_gamma(x) - math.lgamma(x)) <= 1e-12 * abs(math.lgamma(x))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ln_gamma(0.0)
-        with pytest.raises(ValueError):
-            ln_gamma(-1.5)
-
-    @given(st.floats(min_value=0.5, max_value=50.0))
-    @settings(max_examples=100)
-    def test_recurrence(self, x):
-        # Gamma(x+1) = x * Gamma(x)
-        lhs = math.exp(ln_gamma(x + 1.0))
-        rhs = x * math.exp(ln_gamma(x))
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    def test_classical_ratio_is_exact(self):
+        # n! is an exact double up to 22!, so at alpha = 1 the ratio is the
+        # correctly rounded 1/(n+1) for n <= 21
+        assert [math.gamma(n + 1.0) / math.gamma(n + 2.0) for n in range(22)] == [
+            1.0 / (n + 1) for n in range(22)]
+        table = _ml_taylor_table(1.0)
+        assert table == tuple(1.0 / n for n in range(1, len(table) + 1))
 
 
 class TestGammaRatio:

@@ -344,19 +344,19 @@ class TestVerifyShape:
     def test_bounded_ln_gamma(self, monkeypatch):
         solowfrac.transforms._ml_contour_table.cache_clear()
         solowfrac.transforms._ml_taylor_table.cache_clear()
-        calls = {"ln_gamma": 0}
-        ln_gamma = solowfrac.transforms.ln_gamma
+        calls = {"gamma": 0}
+        gamma = math.gamma
 
-        def counting_ln_gamma(x):
-            calls["ln_gamma"] += 1
-            return ln_gamma(x)
+        def counting_gamma(x):
+            calls["gamma"] += 1
+            return gamma(x)
 
-        monkeypatch.setattr(solowfrac.transforms, "ln_gamma", counting_ln_gamma)
+        monkeypatch.setattr(math, "gamma", counting_gamma)
         reports = run_all_verifications(REFERENCE_PARAMS.with_(alpha=0.8))
         assert len([rep for rep in reports if rep["name"].startswith("mittag-leffler")]) == 3
         # the per-alpha gamma-ratio tables, not one call per Taylor term
-        # (10,999 before; 62 measured)
-        assert calls["ln_gamma"] <= 131
+        # (10,999 before; 60 measured)
+        assert calls["gamma"] <= 131
 
     def test_one_ml_eval_per_node(self, monkeypatch):
         calls = []
