@@ -12,7 +12,8 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "model": ("ModelParams", "REFERENCE_PARAMS"),
     "series": ("build_series", "eval_series"),
-    "oracles": ("exact_classical_value", "solve_abm_fractional"),
+    "exact": ("exact_classical_value",),
+    "oracles": ("solve_abm_fractional",),
     "equilibrium": ("find_equilibria",),
     "transforms": ("mittag_leffler", "sumudu_numeric", "sumudu_monomial",
                    "verify_ml_identities", "verify_derivative_rule", "verify_convolution"),

@@ -18,9 +18,6 @@ import sys
 from os.path import dirname, isdir, normpath
 
 from .model import REFERENCE_PARAMS, ModelParams
-from .series import DEFAULT_ORDER
-from .sweep import (AXES, METHODS, PRESETS, SweepConfig, gnuplot_script, rows_to_csv, run_solve,
-                    run_sweep, sidecar_metadata)
 
 # Each subcommand's value settings, key -> type.  The flag is the key with
 # `-` for `_`; a config file sets the same value with a `key = value` line.
@@ -43,18 +40,6 @@ OTHER_FLAGS = {
     "compare": {"config": str},
 }
 FLAG_KINDS = {command: {**keys, **OTHER_FLAGS[command]} for command, keys in COMMAND_KEYS.items()}
-# Each setting that no flag, config line or preset gives.  A sweep's preset,
-# axis and axis range have no default.
-_REFERENCE = REFERENCE_PARAMS.as_dict()
-DEFAULTS = {
-    "solve": {**_REFERENCE, "order": DEFAULT_ORDER, "t_max": 2.0, "samples": 41, "method": "series"},
-    "sweep": {**_REFERENCE, "axis_count": 21, "t_max": 2.0, "t_count": 41,
-              "order": DEFAULT_ORDER, "method": "series"},
-    "equilibria": _REFERENCE,
-    "verify": {**_REFERENCE, "alpha": 0.8},
-    "compare": {**_REFERENCE, "order": 8, "t_max": 0.5, "samples": 21, "tol": 1e-3},
-}
-CHOICES = {"preset": sorted(PRESETS), "axis": AXES, "method": METHODS}
 HELP = {
     "p": "productivity coefficient (> 0)",
     "q": "depreciation/labour-growth rate (> 0)",
@@ -88,6 +73,31 @@ SUMMARY = {
 }
 
 
+def defaults(command: str) -> dict:
+    """Each setting of `command` that no flag, config line or preset gives; a
+    sweep's preset, axis and axis range have none.  Only solve and sweep read
+    the order default, so only they load `series` for it."""
+    reference = REFERENCE_PARAMS.as_dict()
+    if command == "solve" or command == "sweep":
+        from .series import DEFAULT_ORDER
+
+        grid = ({"t_max": 2.0, "samples": 41} if command == "solve"
+                else {"axis_count": 21, "t_max": 2.0, "t_count": 41})
+        return {**reference, "order": DEFAULT_ORDER, **grid, "method": "series"}
+    return {"equilibria": reference, "verify": {**reference, "alpha": 0.8},
+            "compare": {**reference, "order": 8, "t_max": 0.5, "samples": 21, "tol": 1e-3}}[command]
+
+
+def choices(key: str) -> list | tuple | None:
+    """The values that setting `key` may take, None for a setting of any value.
+    The lists live in `sweep`, which loads here only for a choice setting."""
+    if key not in ("preset", "axis", "method"):
+        return None
+    from .sweep import AXES, METHODS, PRESETS
+
+    return {"preset": sorted(PRESETS), "axis": AXES, "method": METHODS}[key]
+
+
 def _read_config(path: str, command: str) -> dict:
     with open(path) as f:
         text = f.read()
@@ -106,9 +116,8 @@ def _read_config(path: str, command: str) -> dict:
             raise ValueError(f"{path}:{lineno}: {command!r} does not read key {key!r}")
         try:
             value = COMMAND_KEYS[command][key](val.strip())
-            if key in CHOICES and value not in CHOICES[key]:
-                choices = ", ".join(CHOICES[key])
-                raise ValueError(f"invalid choice {value!r}; choose from {choices}")
+            if (allowed := choices(key)) is not None and value not in allowed:
+                raise ValueError(f"invalid choice {value!r}; choose from {', '.join(allowed)}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
         values[key] = value
@@ -148,9 +157,9 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
     if command not in SUMMARY:
         if command == "-h" or len(command) > 2 and "--help".startswith(command):
             return None, {"help": True}
-        choices = ", ".join(SUMMARY)
-        raise ValueError(f"unknown subcommand {command!r}; choose from {choices}" if argv
-                         else f"missing subcommand; choose from {choices}")
+        commands = ", ".join(SUMMARY)
+        raise ValueError(f"unknown subcommand {command!r}; choose from {commands}" if argv
+                         else f"missing subcommand; choose from {commands}")
     kinds = FLAG_KINDS[command]
     flags = {"-h": "help", "--help": "help", **{"--" + key.replace("_", "-"): key for key in kinds}}
     values = {}
@@ -173,9 +182,8 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
             values[key] = kind(value)
         except ValueError:
             raise ValueError(f"{flag}: invalid {kind.__name__} value {value!r}") from None
-        if key in CHOICES and values[key] not in CHOICES[key]:
-            choices = ", ".join(CHOICES[key])
-            raise ValueError(f"{flag}: invalid choice {value!r}; choose from {choices}")
+        if (allowed := choices(key)) is not None and values[key] not in allowed:
+            raise ValueError(f"{flag}: invalid choice {value!r}; choose from {', '.join(allowed)}")
     for flag in ("--config", "--out", "--gnuplot-script"):
         if values.get(flags.get(flag)) == "":
             raise ValueError(f"{flag}: empty path")
@@ -200,11 +208,13 @@ def usage(command: str | None) -> str:
         return "\n".join(lines) + "\n"
     lines = [f"usage: solowfrac {command} [--flag VALUE ...]", "", SUMMARY[command], "",
              "flags:", f"  {'-h, --help':<24s}  show this help and exit"]
+    default_values = defaults(command)
     for key, kind in FLAG_KINDS[command].items():
         flag = "--" + key.replace("_", "-")
+        allowed = choices(key)
         if kind is not bool:
-            flag += " " + ("{" + ",".join(CHOICES[key]) + "}" if key in CHOICES else key.upper())
-        default = f" (default {DEFAULTS[command][key]})" if key in DEFAULTS[command] else ""
+            flag += " " + ("{" + ",".join(allowed) + "}" if allowed is not None else key.upper())
+        default = f" (default {default_values[key]})" if key in default_values else ""
         lines.append(f"  {flag:<24s}  " if len(flag) <= 24 else f"  {flag}\n{'':28s}")
         lines[-1] += HELP[key] + default
     return "\n".join(lines) + "\n"
@@ -215,14 +225,16 @@ def _settings(command: str, flags: dict) -> dict:
     keys = COMMAND_KEYS[command]
     config = _read_config(flags["config"], command) if flags.get("config") else {}
     given = {key: value for key, value in flags.items() if key in keys}
-    preset = PRESETS.get(given.get("preset", config.get("preset")))
     fields = {}
-    if preset is not None:
+    if name := given.get("preset", config.get("preset")):
+        from .sweep import PRESETS
+
+        preset = PRESETS[name]
         (lo, hi, count), (t_max, t_count) = preset.axis_range, preset.t_range
         fields = {**preset.base.as_dict(), "axis": preset.axis, "axis_min": lo, "axis_max": hi,
                   "axis_count": count, "t_max": t_max, "t_count": t_count,
                   "order": preset.order, "method": preset.method}
-    return {**DEFAULTS[command], **fields, **config, **given}
+    return {**defaults(command), **fields, **config, **given}
 
 
 def _params(settings: dict) -> ModelParams:
@@ -235,6 +247,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_solve(flags, s) -> int:
+    from .sweep import rows_to_csv, run_solve
+
     rows = run_solve(_params(s), s["t_max"], s["samples"], s["method"], s["order"])
     csv_text = rows_to_csv(rows, axis=False)
     if out := flags.get("out"):
@@ -252,6 +266,8 @@ def _cmd_sweep(flags, s) -> int:
         raise ValueError("sweep requires --preset or --axis with a range")
     if s.get("axis_min") is None or s.get("axis_max") is None:
         raise ValueError("sweep requires --axis-min and --axis-max")
+    from .sweep import SweepConfig, gnuplot_script, rows_to_csv, run_sweep, sidecar_metadata
+
     sweep_cfg = SweepConfig(_params(s), s["axis"], (s["axis_min"], s["axis_max"], s["axis_count"]),
                             (s["t_max"], s["t_count"]), s["order"], s["method"])
     grid = run_sweep(sweep_cfg)
@@ -328,6 +344,8 @@ def _cmd_compare(flags, s) -> int:
     tol, order = s["tol"], s["order"]
     if not 0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
+    from .sweep import run_solve
+
     rows = run_solve(_params(s), s["t_max"], s["samples"], "both", order)
     # t-major then method: each even row is the series, the next its oracle
     series, oracle = rows[0::2], rows[1::2]

@@ -1,29 +1,25 @@
-"""Independent reference solutions used for cross-validation.
+"""The fractional reference solution used for cross-validation.
 
-Two backends that share no code with the series engine, each returning plain
-floats:
-
-* `exact_classical_value`, k(t) at one time from the Bernoulli substitution
-  v = k**(1-mu) which linearizes dk/dt = p*k**mu - q*k;
-* `solve_abm_fractional`, the list of k on a uniform grid of steps + 1
-  points from the Adams-Bashforth-Moulton product-trapezoid corrector for
-  the Caputo problem (Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002),
-  solved at each step by a safeguarded scalar Newton method rather than
-  once from a predictor (Garrappa, Mathematics 6(2), 2018).  Memory terms
-  younger than WINDOW steps take the exact weights, and their sum is the
-  builtin `sum`, oldest term first: plain left-to-right addition up to
-  CPython 3.11 (3.12 compensates, ~1 ulp off).  Older terms go through a
-  sum of exponentials (Jiang, Zhang, Zhang & Zhang, Commun. Comput. Phys.
-  21(3), 2017), whose nodes come from one Gauss rule in ln s (Beylkin &
-  Monzon, Appl. Comput. Harmon. Anal. 28(2), 2010): 33 modes at 280 steps,
-  44 at 2,048 and 56 at 16,384, each kept times its weight and updated once
-  per step, so a run costs WINDOW + 2 * modes products per step instead of
-  O(steps) (104 at 2,048 steps); each process builds the modes once per
-  (alpha, steps), and a sweep's cells share them.  Over alpha in (0, 1] the
-  modes reproduce the old terms' weights to <= 6.0e-13 relative (measured
-  from 17 up to 16,384 steps; 65,536 steps reach 3.6e-12), and a run stays
-  within 5.5e-15 relative of the exact full-history sum (measured up to
-  4,096 steps).
+`solve_abm_fractional` shares no code with the series engine.  It returns
+the list of k, as plain floats, on a uniform grid of steps + 1 points from
+the Adams-Bashforth-Moulton product-trapezoid corrector for the Caputo
+problem (Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002), solved at each
+step by a safeguarded scalar Newton method rather than once from a predictor
+(Garrappa, Mathematics 6(2), 2018).  Memory terms younger than WINDOW steps
+take the exact weights, and their sum is the builtin `sum`, oldest term
+first: plain left-to-right addition up to CPython 3.11 (3.12 compensates,
+~1 ulp off).  Older terms go through a sum of exponentials (Jiang, Zhang, Zhang
+& Zhang, Commun. Comput. Phys. 21(3), 2017), whose nodes come from one Gauss
+rule in ln s (Beylkin & Monzon, Appl. Comput. Harmon. Anal. 28(2), 2010): 33
+modes at 280 steps, 44 at 2,048 and 56 at 16,384, each kept times its weight
+and updated once per step, so a run costs WINDOW + 2 * modes products per
+step instead of O(steps) (104 at 2,048 steps); each process builds the modes
+once per (alpha, steps), and a sweep's cells share them.  Over alpha in
+(0, 1] the modes reproduce the old terms' weights to <= 6.0e-13 relative
+(measured from 17 up to 16,384 steps; 65,536 steps reach 3.6e-12), and a run
+stays within 5.5e-15 relative of the exact full-history sum (measured up to
+4,096 steps).  The classical reference, `exact_classical_value`, lives in
+`exact` and is re-exported here beside it.
 """
 
 from __future__ import annotations
@@ -32,6 +28,7 @@ import functools
 import math
 from operator import mul
 
+from .exact import _leggauss, exact_classical_value
 from .model import ModelParams, check_positive
 
 __all__ = ["exact_classical_value", "solve_abm_fractional"]
@@ -66,30 +63,6 @@ HEAD_SPAN = 27.0
 LOG_NODE_DENSITY = 5.5
 MIN_LOG_NODES = 16
 HISTORY_CUTOFF = 33.0
-
-
-def exact_classical_value(params: ModelParams, t: float) -> float:
-    """Closed-form k(t) for alpha = 1.
-
-    k(t) = v**(1/(1-mu)) with v = v0 + (p/q - v0) * (1 - exp(-q*(1-mu)*t))
-    and v0 = k0**(1-mu).  1 - exp(-x) is -expm1(-x), so a small q*(1-mu)*t
-    does not cancel.  Verified against an adaptive ODE integrator in the test
-    suite before anything else relies on it.  ValueError at alpha != 1;
-    OverflowError past double range.
-    """
-    if params.alpha != 1.0:
-        raise ValueError(f"exact classical solver requires alpha = 1, got {params.alpha}")
-    one_minus_mu = 1.0 - params.mu
-    v0 = params.k0 ** one_minus_mu
-    v = v0 + (params.p / params.q - v0) * -math.expm1(-params.q * one_minus_mu * t)
-    try:
-        k = v ** (1.0 / one_minus_mu)
-    except OverflowError:
-        k = math.inf
-    if not k < math.inf:  # inf, or nan from p/q = inf
-        raise OverflowError(f"exact k(t) = v**(1/(1-mu)) overflows double precision "
-                            f"at p={params.p}, q={params.q}, mu={params.mu}")
-    return k
 
 
 def solve_abm_fractional(params: ModelParams, t_end: float, steps: int) -> list[float]:
@@ -228,36 +201,6 @@ def _history_modes(alpha: float, steps: int) -> tuple[tuple[float, ...], ...]:
         decay.append(math.exp(-s))
         wc.append(scale * weight * math.exp(-WINDOW * s) * g * g)
     return tuple(decay), tuple(wc)
-
-
-def _legendre(n: int, x: float) -> tuple[float, float]:
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p_prev, p = 1.0, x
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    return p, n * (x * p - p_prev) / (x * x - 1.0)
-
-
-@functools.lru_cache(maxsize=8)
-def _leggauss(nodes: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
-
-    Newton's method on P_n from the Tricomi-type guess cos(pi(i+3/4)/(n+1/2))
-    for each positive root; the negative roots are their mirror images.
-    """
-    positive = []  # descending
-    for i in range(nodes // 2):
-        x = math.cos(math.pi * (i + 0.75) / (nodes + 0.5))
-        for _ in range(100):
-            p, dp = _legendre(nodes, x)
-            step = p / dp
-            x -= step
-            if abs(step) <= 1e-16:
-                break
-        positive.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
-    center = [(0.0, 2.0 / _legendre(nodes, 0.0)[1] ** 2)] if nodes % 2 else []
-    pairs = [(-x, w) for x, w in positive] + center + positive[::-1]
-    return tuple(x for x, _ in pairs), tuple(w for _, w in pairs)
 
 
 def _jacobi(n: int, beta: float, x: float, terms: list) -> tuple[float, float]:

@@ -76,9 +76,10 @@ class SweepConfig(Record):
             self.base.with_(**{self.axis: v})
 
     def axis_values(self) -> list[float]:
+        """`count` values from lo to hi, ending on hi: lo + (count - 1) * step can pass it."""
         lo, hi, count = self.axis_range
         step = (hi - lo) / (count - 1)
-        return [lo + i * step for i in range(count)]
+        return [lo + i * step for i in range(count - 1)] + [hi]
 
     def times(self) -> list[float]:
         return time_grid(*self.t_range)
@@ -142,11 +143,13 @@ def evaluate(params: ModelParams, times: list[float], method: str,
             coeffs = build_series(params, order)
             pairs = [eval_series(coeffs, params.alpha, t) for t in times]
             return [k for k, _ in pairs], [trusted for _, trusted in pairs], None
-        from .oracles import exact_classical_value, solve_abm_fractional  # series cells skip it
-
         if method == "exact":
+            from .exact import exact_classical_value  # series cells skip it, exact ones the ABM
+
             values = [exact_classical_value(params, t) for t in times]
         else:
+            from .oracles import solve_abm_fractional
+
             per = max(1, math.ceil(256 / (len(times) - 1)))
             values = solve_abm_fractional(params, times[-1], (len(times) - 1) * per)[::per]
         return values, [True] * len(times), None

@@ -38,7 +38,7 @@ from collections.abc import Callable, Sequence
 from operator import mul
 
 from .model import ModelParams, check_positive
-from .oracles import _leggauss, exact_classical_value
+from .exact import _leggauss, exact_classical_value
 
 __all__ = [
     "mittag_leffler",

@@ -10,7 +10,7 @@ import argparse
 import math
 import warnings
 
-from solowfrac.cli import CHOICES, COMMAND_KEYS, DEFAULTS, HELP, SUMMARY
+from solowfrac.cli import COMMAND_KEYS, HELP, SUMMARY, choices, defaults
 from solowfrac.model import ModelParams
 from solowfrac.oracles import exact_classical_value
 from solowfrac.sweep import CSV_HEADER, Row
@@ -71,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command, summary in SUMMARY.items():
         sp = subparsers[command] = sub.add_parser(command, help=summary)
         for key, kind in COMMAND_KEYS[command].items():
-            sp.add_argument("--" + key.replace("_", "-"), type=kind, choices=CHOICES.get(key),
-                            help=HELP.get(key, "").format_map(DEFAULTS[command]))
+            sp.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices(key),
+                            help=HELP.get(key, "").format_map(defaults(command)))
             if key == "k0":  # --config follows the model flags on every subcommand
                 sp.add_argument("--config", help="flat key=value config file")
     for command in ("solve", "sweep"):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from reference_helpers import build_parser, parse_csv
-from solowfrac.cli import CHOICES, COMMAND_KEYS, FLAG_KINDS, SUMMARY, main, parse_args
+from solowfrac.cli import COMMAND_KEYS, FLAG_KINDS, SUMMARY, choices, main, parse_args
 from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.sweep import CSV_HEADER, PRESETS, SweepConfig
 from solowfrac.transforms import _report, run_all_verifications
@@ -213,7 +213,7 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, command, "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err == (f"error: {cfg}:2: bad value for {key!r}: invalid choice {value!r}; "
-                       f"choose from {', '.join(CHOICES[key])}\n")
+                       f"choose from {', '.join(choices(key))}\n")
 
 
 # A small run of each subcommand, and a value for every key of the settings
@@ -298,6 +298,16 @@ class TestSweep:
         assert code == 0
         assert out.splitlines()[0] == CSV_HEADER
         assert len(out.splitlines()) == 1 + 9
+
+    def test_axis_ends_at_axis_max(self, capsys):
+        # lo + 7 * step is 1.0000000000000002 here, outside alpha's (0, 1]
+        code, out, err = run_cli(
+            capsys, "sweep", "--axis", "alpha", "--axis-min", "0.1", "--axis-max", "1.0",
+            "--axis-count", "8", "--t-count", "3",
+        )
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        assert rows[-1][1] == 1.0
 
     def test_gnuplot_companion(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
@@ -664,7 +674,7 @@ class TestOutputPaths:
             raise AssertionError("the command ran")
 
         for name in ("run_sweep", "run_solve"):
-            monkeypatch.setattr(f"solowfrac.cli.{name}", no_work)
+            monkeypatch.setattr(f"solowfrac.sweep.{name}", no_work)
         monkeypatch.setattr("solowfrac.equilibrium.find_equilibria", no_work)
         missing = tmp_path / "missing"
         argv = [arg.format(missing=missing, tmp=tmp_path) for arg in argv]
@@ -764,7 +774,7 @@ def command_lines(draw):
             if key in PATH_KEYS and draw(st.integers(0, 3)) == 0:  # the empty-path branch
                 value = ""
             else:
-                value = draw(st.sampled_from(CHOICES.get(key) or GOOD.get(kinds[key], [""])))
+                value = draw(st.sampled_from(choices(key) or GOOD.get(kinds[key], [""])))
             forms = [[flag], [flag]] if kinds[key] is bool else [[flag, value], [f"{flag}={value}"]]
         else:
             flag = draw(st.sampled_from(ALL_FLAGS + ["--bogus", "--", "-x"]))

@@ -122,20 +122,30 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("solowfrac."))]))
 """
 
-SERIES_ONLY = [["solve", "--method", "series"], ["sweep", "--preset", "fig-ktq"]]
-COMMANDS = SERIES_ONLY + [argv for argv in GUARDED if argv not in SERIES_ONLY] + [["verify"]]
-# Every command loads these; the others only where it runs them.
-CORE_MODULES = ["cli", "model", "series", "sweep"]
-EXTRA_MODULES = {"equilibria": ["equilibrium"], "verify": ["oracles", "transforms"]}
+SWEEP = ["series", "sweep"]
+# Every command loads these two; each other module only the commands that run it.
+CORE_MODULES = ["cli", "model"]
+COMMAND_MODULES = {
+    ("solve", "--method", "series"): SWEEP,
+    ("sweep", "--preset", "fig-ktq"): SWEEP,
+    ("solve", "--method", "exact"): SWEEP + ["exact"],
+    ("compare", "--alpha", "1"): SWEEP + ["exact"],
+    ("solve", "--method", "abm", "--alpha", "0.8"): SWEEP + ["exact", "oracles"],
+    ("sweep", "--preset", "fig-ktq-frac", "--method", "both"): SWEEP + ["exact", "oracles"],
+    ("compare", "--alpha", "0.8"): SWEEP + ["exact", "oracles"],
+    ("equilibria", "--json"): ["equilibrium"],
+    ("verify",): ["exact", "transforms"],
+    ("--help",): [],
+    ("verify", "--help"): [],
+}
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("argv", COMMAND_MODULES, ids=" ".join)
 def test_command_loads_only_the_modules_it_runs(argv):
     # the exact set, so no helper module creeps back onto a request's path
     code, loaded = json.loads(run_fresh(ONE_COMMAND, json.dumps(argv)))
     assert code == 0
-    extra = EXTRA_MODULES.get(argv[0], [] if argv in SERIES_ONLY else ["oracles"])
-    assert loaded == sorted(f"solowfrac.{name}" for name in CORE_MODULES + extra)
+    assert loaded == sorted(f"solowfrac.{name}" for name in CORE_MODULES + COMMAND_MODULES[argv])
 
 
 # argv comes in as plain arguments: this program must not load json itself.

@@ -326,9 +326,12 @@ class TestMuEdges:
     """The ABM against the exact solutions at mu = 1e-14 and 1 - 1e-14."""
 
     # Measured worst gaps: 3.9e-5 at 280 steps and 2.9e-6 at 2,048 (alpha = 0.3,
-    # mu -> 0); at alpha = 1, 2.3e-7 and 4.3e-9 (mu -> 1).
+    # mu -> 0); at alpha = 1, 2.3e-7 and 4.3e-9 (mu -> 1).  Below 0.3, 5.2e-5
+    # at 280 steps (alpha = 0.2, mu -> 0) and 5.6e-6 at 2,048 (alpha = 0.1,
+    # either edge), both at k0 = 0.5.
     @pytest.mark.parametrize("steps, tol", [(280, 1e-4), (2048, 1e-5)])
-    @pytest.mark.parametrize("params, reference", EDGE_CASES + edge_cases((1.0,)))
+    @pytest.mark.parametrize("params, reference",
+                             EDGE_CASES + edge_cases((0.05, 0.1, 0.2, 1.0)))
     def test_abm_matches_exact_edge(self, params, reference, steps, tol):
         values = solve_abm_fractional(params, t_end=2.0, steps=steps)
         for i in range(steps // 8, steps + 1, steps // 8):  # t = 0.25, 0.5, ..., 2

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from solowfrac.model import ModelParams
 from solowfrac.oracles import exact_classical_value, solve_abm_fractional
+from solowfrac.series import build_series, eval_series
 
 ORDER_TOL = 1e-12
 STEPS = 256
@@ -70,3 +71,86 @@ class TestExactOrder:
         times = [i * t_max / 40 for i in range(41)]
         check_order(ModelParams(p=p, q=q, mu=mu, alpha=1.0, k0=k0),
                     lambda prm: [exact_classical_value(prm, t) for t in times])
+
+
+# Scaling pairs: with u = k/k0 and s = q^(1/alpha) t the model reads
+# D^alpha u = r u^mu - u, r = (p/q) k0^(mu-1), so k(t)/k0 depends on p, q and
+# k0 only through r and q t^alpha.  `scaled` multiplies q by a and k0 by b
+# and keeps r; its times are the first set's times `stretch`.  Each solver
+# forms k as k0 plus an update, so its rounding is relative to max(k0, k):
+# the gaps in u are measured against max(1, u).  Tolerances, set before
+# measuring: 1e-13 for the exact solution, 1e-12 for the 280-step ABM, whose
+# steps solve the same scaled corrector (c q is the same on both grids), and
+# 1e-13 for the order-5 series, which failed: near k*, p k0^mu - q k0 cancels
+# and the series multiplies its rounding by up to (q t^alpha)^5 / 5!.  Worst
+# found by a targeted search of 3,000 draws each: 1.2e-14 exact, 9.4e-15 ABM
+# (relative to u itself 2.4e-11, where k fell to 2e-5 k0) and 2.8e-12 series,
+# now gated at 1e-10.  No order-5 trust flag differed.
+SCALE = st.floats(-3.0, 3.0).map(math.exp)
+ALPHA = st.one_of(st.just(1.0), st.floats(0.05, 1.0))
+
+
+def scaled(params, a, b):
+    """The set with q times a, k0 times b and the same r, mu and alpha, and
+    the factor (q / (a q))^(1/alpha) that takes `params`' times to its own."""
+    other = params.with_(p=params.p * a * b ** (1.0 - params.mu), q=params.q * a, k0=params.k0 * b)
+    return other, (params.q / other.q) ** (1.0 / params.alpha)
+
+
+def assert_scaled_close(first, second, params, other, tol):
+    for k1, k2 in zip(first, second, strict=True):
+        u1, u2 = k1 / params.k0, k2 / other.k0
+        assert abs(u1 - u2) <= tol * max(1.0, abs(u1)), (u1, u2)
+
+
+class TestScalingPairs:
+    @settings(max_examples=200, deadline=None)
+    @given(**BOX, a=SCALE, b=SCALE)
+    def test_exact(self, p, q, mu, k0, t_max, a, b):
+        params = ModelParams(p=p, q=q, mu=mu, alpha=1.0, k0=k0)
+        other, stretch = scaled(params, a, b)
+        times = [i * t_max / 40 for i in range(41)]
+        assert_scaled_close([exact_classical_value(params, t) for t in times],
+                            [exact_classical_value(other, t * stretch) for t in times],
+                            params, other, 1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**BOX, alpha=ALPHA, a=SCALE, b=SCALE)
+    def test_abm(self, p, q, mu, k0, t_max, alpha, a, b):
+        params = ModelParams(p=p, q=q, mu=mu, alpha=alpha, k0=k0)
+        other, stretch = scaled(params, a, b)
+        assert_scaled_close(solve_abm_fractional(params, t_end=t_max, steps=280),
+                            solve_abm_fractional(other, t_end=t_max * stretch, steps=280),
+                            params, other, 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**BOX, alpha=ALPHA, a=SCALE, b=SCALE)
+    def test_series_trusted_values_and_flags(self, p, q, mu, k0, t_max, alpha, a, b):
+        params = ModelParams(p=p, q=q, mu=mu, alpha=alpha, k0=k0)
+        other, stretch = scaled(params, a, b)
+        first, second = build_series(params, 5), build_series(other, 5)
+        for t in (i * t_max / 8 for i in range(9)):
+            (k1, trusted), (k2, trusted_too) = (eval_series(first, alpha, t),
+                                                eval_series(second, alpha, t * stretch))
+            assert trusted == trusted_too, t
+            if trusted:
+                assert_scaled_close([k1], [k2], params, other, 1e-10)
+
+    def test_known_defect_high_order_coefficients_are_rounding_noise(self):
+        # KNOWN DEFECT: at orders 16 and 32 the float recurrence can lose every
+        # digit of the late coefficients (c_32 here is -1.8e8 times its
+        # 60-digit value, and every c_n from n = 20 has the wrong sign), and the trust rule, which reads only the last term, passes
+        # the noise.  Scaled pairs then differ on trusted points by up to
+        # 7.3e-3 at order 32 and 6.4e-7 at order 16, and 2 trust flags differ
+        # at order 32 (4,000 seeded draws; a stated 1e-9 at order 32 failed),
+        # so the pairs are gated at order 5 only.  Here order 32 is trusted
+        # yet 1.0e-3 off the exact solution, where order 16 is 2.5e-7 off.
+        # This test fails once the defect is mended.
+        params = ModelParams(p=2.3, q=0.05, mu=0.93, alpha=1.0, k0=6.2)
+        exact = exact_classical_value(params, 10.0)
+        gaps = {}
+        for order in (16, 32):
+            value, trusted = eval_series(build_series(params, order), 1.0, 10.0)
+            assert trusted
+            gaps[order] = abs(value - exact) / exact
+        assert gaps[16] < 1e-6 < 5e-4 < gaps[32]

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference_helpers import parse_csv
 from solowfrac.model import ModelParams, REFERENCE_PARAMS
@@ -41,6 +42,17 @@ class TestSweepConfig:
         assert vals[0] == pytest.approx(0.1)
         assert vals[-1] == pytest.approx(0.4)
         assert len(vals) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(1e-3, 0.999), width=st.floats(1e-12, 1.0), count=st.integers(2, 200))
+    def test_axis_values_stay_in_range(self, lo, width, count):
+        # lo + (count - 1) * step could round one ulp past hi (0.1 to 1.0 in 8)
+        hi = min(lo + width, 1.0)
+        if not hi > lo:
+            return
+        vals = small_config(axis="alpha", axis_range=(lo, hi, count)).axis_values()
+        assert len(vals) == count and vals[0] == lo and vals[-1] == hi
+        assert all(lo <= v <= hi for v in vals)
 
     def test_times_start_at_zero(self):
         cfg = small_config()

@@ -9,7 +9,7 @@ import pytest
 
 import solowfrac.transforms
 from solowfrac.model import REFERENCE_PARAMS
-from solowfrac.oracles import _leggauss, exact_classical_value
+from solowfrac.exact import _leggauss, exact_classical_value
 from solowfrac.transforms import (
     IDENTITY_TOL,
     QUAD_NODES,
