@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from os.path import dirname, isdir, normpath
+from os.path import dirname, isdir, normpath, realpath
 
 from .model import REFERENCE_PARAMS, ModelParams
 
@@ -150,8 +150,9 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
 
     The last of repeated flags wins.  `-h`/`--help` gives {"help": True}, with
     the subcommand None for the program's help.  Raises ValueError naming the
-    flag, before any work, for every error, for an empty path, and for an
-    output path that is a directory or whose directory does not exist.
+    flag, before any work, for every error, for an empty path, for an
+    output path that is a directory or whose directory does not exist, and for
+    a gnuplot script path that is the --out CSV or its sidecar.
     """
     command = argv[0] if argv else ""
     if command not in SUMMARY:
@@ -193,6 +194,9 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
             raise ValueError(f"{flag}: {path!r} is a directory")
         if path and not isdir(dirname(path) or "."):
             raise ValueError(f"{flag}: directory of {path!r} does not exist")
+    out, script = values.get("out"), values.get("gnuplot_script")
+    if out and script and realpath(script) in (realpath(out), realpath(out + ".meta.json")):
+        raise ValueError(f"--gnuplot-script: {script!r} is the --out CSV or its sidecar")
     return command, values
 
 
@@ -299,15 +303,17 @@ def _render_equilibria_table(report, params) -> str:
 
 
 def _cmd_equilibria(flags, s) -> int:
-    import json
-
     from .equilibrium import find_equilibria
 
     params = _params(s)
     report = find_equilibria(params)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    out = flags.get("out")
+    if flags.get("json") or out:
+        from .jsontext import dumps
+
+        text = dumps(report) + "\n"
     sys.stdout.write(text if flags.get("json") else _render_equilibria_table(report, params) + "\n")
-    if out := flags.get("out"):
+    if out:
         _write(out, text)
     return 0
 
@@ -319,10 +325,10 @@ def _cmd_verify(flags, s) -> int:
     reports = run_all_verifications(params)
     passed = all(rep["passed"] for rep in reports)
     if flags.get("json"):
-        import json
+        from .jsontext import dumps
 
-        sys.stdout.write(json.dumps({"params": params.as_dict(), "passed": passed,
-                                     "reports": reports}, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(dumps({"params": params.as_dict(), "passed": passed,
+                                "reports": reports}) + "\n")
         return 0 if passed else 1
     for rep in reports:
         sys.stdout.write(f"{'PASS' if rep['passed'] else 'FAIL'}  {rep['name']:<42s} "

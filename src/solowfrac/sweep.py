@@ -215,7 +215,11 @@ def rows_to_csv(rows: list[Row], axis: bool = True) -> str:
     """
     lines = [CSV_HEADER if axis else "t,k,trusted,method"]
     if axis:
-        lines += ["%.17g,%.17g,%.17g,%s,%s" % (t, v, k, "true" if trusted else "false", method)
+        # A sweep repeats each t and axis value across a whole row block, so
+        # each distinct one is formatted once (t >= 0 and axis values > 0:
+        # no -0.0 shares a key with 0.0).
+        text = {x: "%.17g" % x for x in {row[0] for row in rows} | {row[1] for row in rows}}
+        lines += [f"{text[t]},{text[v]},{k:.17g},{'true' if trusted else 'false'},{method}"
                   for t, v, k, trusted, method in rows]
     else:
         lines += ["%.17g,%.17g,%s,%s" % (t, k, "true" if trusted else "false", method)
@@ -229,7 +233,7 @@ def sidecar_metadata(grid: SweepGrid) -> str:
     `failures` lists the cells whose solver failed, with the reason; it is
     present only when some cell failed.
     """
-    import json  # only sweeps with --out write a sidecar
+    from .jsontext import dumps  # only sweeps with --out write a sidecar
 
     meta = {
         "format": "solowfrac sweep grid v1",
@@ -240,7 +244,7 @@ def sidecar_metadata(grid: SweepGrid) -> str:
     if grid.failures:
         meta["failures"] = [{"axis": v, "method": m, "reason": reason}
                             for v, m, reason in grid.failures]
-    return json.dumps(meta, indent=2, sort_keys=True) + "\n"
+    return dumps(meta) + "\n"
 
 
 def gnuplot_script(csv_path: str, config: SweepConfig) -> str:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+from os.path import realpath
 from pathlib import Path
 
 import mpmath as mp
@@ -686,6 +687,19 @@ class TestOutputPaths:
         assert err.startswith(f"error: {flag}: ") and repr(path) in err and problem in err
         assert list(tmp_path.iterdir()) == []
 
+    # The script replaced the CSV (and then plotted itself) or the sidecar, exit 0.
+    @pytest.mark.parametrize("script", ["a.csv", "./a.csv", "{tmp}/a.csv", "a.csv.meta.json",
+                                        "./a.csv.meta.json"])
+    def test_script_over_the_csv_or_sidecar_exits_2(self, capsys, tmp_path, monkeypatch, script):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("solowfrac.sweep.run_sweep", lambda *args: pytest.fail("the sweep ran"))
+        script = script.format(tmp=tmp_path)
+        code, out, err = run_cli(capsys, "sweep", "--preset", "fig-ktq", "--out", "a.csv",
+                                 "--gnuplot-script", script)
+        assert (code, out) == (2, "")
+        assert err == f"error: --gnuplot-script: {script!r} is the --out CSV or its sidecar\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEmptyPaths:
     """An empty path is refused before any work, with the flag named; it was
@@ -823,6 +837,13 @@ class TestParser:
         if expected != 0 and "" in map(expected[1].get, PATH_KEYS):
             # Deliberate difference: an empty path is refused; argparse took it.
             with pytest.raises(ValueError, match=r"^--[a-z-]+: empty path$"):
+                parse_args(argv)
+            return
+        out, script = map((expected[1] if expected != 0 else {}).get, ("out", "gnuplot_script"))
+        if out and script and realpath(script) in (realpath(out), realpath(out + ".meta.json")):
+            # Deliberate difference: a script path that would overwrite the CSV
+            # or its sidecar is refused; argparse took it.
+            with pytest.raises(ValueError, match=r"^--gnuplot-script: .* is the --out CSV"):
                 parse_args(argv)
             return
         try:

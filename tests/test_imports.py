@@ -1,7 +1,7 @@
 """Import cost: no command loads numpy or mpmath, which only the tests use,
-nor `dataclasses`, `inspect` or `argparse` (with its `gettext` and `locale`),
-and only `verify` loads `cmath`; `json` loads only for the commands that
-write JSON; each command loads only the package modules it runs.
+nor `dataclasses`, `inspect`, `argparse` (with its `gettext` and `locale`)
+or `json`, whose JSON the package's own `jsontext` writes; only `verify`
+loads `cmath`; each command loads only the package modules it runs.
 
 Each check runs in a fresh interpreter, because this test process has
 imported all of these already.
@@ -52,10 +52,10 @@ print(json.dumps(report))
 """
 
 
-def run_fresh(program, *args, options=()):
+def run_fresh(program, *args, options=(), cwd=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, *options, "-c", program, *args], env=env,
+    proc = subprocess.run([sys.executable, *options, "-c", program, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120, check=True)
     return proc.stdout
 
@@ -128,22 +128,25 @@ CORE_MODULES = ["cli", "model"]
 COMMAND_MODULES = {
     ("solve", "--method", "series"): SWEEP,
     ("sweep", "--preset", "fig-ktq"): SWEEP,
+    ("sweep", "--preset", "fig-ktq", "--out", "o.csv"): SWEEP + ["jsontext"],
     ("solve", "--method", "exact"): SWEEP + ["exact"],
     ("compare", "--alpha", "1"): SWEEP + ["exact"],
     ("solve", "--method", "abm", "--alpha", "0.8"): SWEEP + ["exact", "oracles"],
     ("sweep", "--preset", "fig-ktq-frac", "--method", "both"): SWEEP + ["exact", "oracles"],
     ("compare", "--alpha", "0.8"): SWEEP + ["exact", "oracles"],
-    ("equilibria", "--json"): ["equilibrium"],
+    ("equilibria",): ["equilibrium"],
+    ("equilibria", "--json"): ["equilibrium", "jsontext"],
     ("verify",): ["exact", "transforms"],
+    ("verify", "--json"): ["exact", "jsontext", "transforms"],
     ("--help",): [],
     ("verify", "--help"): [],
 }
 
 
 @pytest.mark.parametrize("argv", COMMAND_MODULES, ids=" ".join)
-def test_command_loads_only_the_modules_it_runs(argv):
+def test_command_loads_only_the_modules_it_runs(argv, tmp_path):
     # the exact set, so no helper module creeps back onto a request's path
-    code, loaded = json.loads(run_fresh(ONE_COMMAND, json.dumps(argv)))
+    code, loaded = json.loads(run_fresh(ONE_COMMAND, json.dumps(argv), cwd=tmp_path))
     assert code == 0
     assert loaded == sorted(f"solowfrac.{name}" for name in CORE_MODULES + COMMAND_MODULES[argv])
 
@@ -165,8 +168,20 @@ print(code, "json" in sys.modules)
     ["verify"],
 ], ids=" ".join)
 def test_command_without_json_output_does_not_load_json(argv):
-    # json costs ~2 ms of start-up; only sweep sidecars and equilibria use it
+    # json costs ~2 ms of start-up, about as much as a preset sweep's own work
     assert run_fresh(NO_JSON, *argv).split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "fig-ktq-frac", "--method", "both", "--out", "o.csv",
+     "--gnuplot-script", "o.gp"],
+    ["equilibria", "--json"],
+    ["equilibria", "--out", "r.json"],
+    ["verify", "--json"],
+], ids=" ".join)
+def test_command_writing_json_does_not_load_json(argv, tmp_path):
+    # sidecars and reports come from jsontext, byte for byte what json wrote
+    assert run_fresh(NO_JSON, *argv, cwd=tmp_path).split() == ["0", "False"]
 
 
 def test_cli_does_not_import_pathlib():

@@ -37,13 +37,15 @@ def _corrector_weight(alpha, m):
     return 2.0 * m * m ** alpha * total
 
 
-def _abm_reference(params, t_end, steps):
+def _abm_reference(params, t_end, steps, start_weight=None):
     """ABM values from the solved corrector with its memory sum written as a
     plain double loop.
 
     Every weight is the formula above, every memory term is added one at a
     time, oldest first, and each step's corrector k = k0 + c (f(k) + acc)
-    is solved by the same safeguarded Newton iteration as the solver's.  The
+    is solved by the same safeguarded Newton iteration as the solver's.
+    `start_weight(n)`, when given, replaces the solver's weight of f(k0) at
+    step n, n^(alpha+1) - (n - alpha)(n + 1)^alpha.  The
     solver must reproduce the first WINDOW + 2 values bit for bit (all of
     them on runs of at most WINDOW + 1 steps), stay within 1e-10 relative
     past them, and fail where and how this does.
@@ -56,7 +58,10 @@ def _abm_reference(params, t_end, steps):
     k = [k0]
     f = [params.rhs(k0)]
     for n in range(steps):
-        acc = (n ** (alpha + 1.0) - (n - alpha) * (n + 1) ** alpha) * f[0]
+        if start_weight is None:
+            acc = (n ** (alpha + 1.0) - (n - alpha) * (n + 1) ** alpha) * f[0]
+        else:
+            acc = start_weight(n) * f[0]
         for j in range(1, n + 1):
             acc += weights[n + 1 - j] * f[j]
         rest = k0 + c * acc
@@ -265,6 +270,22 @@ class TestABMReference:
             assert got[:WINDOW + 2] == want[:WINDOW + 2]
             assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-10
 
+    # The f(k0) weight n^(alpha+1) - (n - alpha)(n + 1)^alpha cancels like the
+    # old c_m did: up to 2.3e-5 relative off at alpha = 1e-4 over 2,048 steps.
+    # It decays like n^(alpha-1), so its 40-digit value moves no value far
+    # (measured at k0 = 0.5, 1 and 4: 4.9e-14 at 280 steps, 4.1e-13 at 2,048).
+    @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.3, 0.8])
+    def test_start_weight_rounding_moves_no_value(self, alpha):
+        steps = 280
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            exact = [float(n ** (a + 1) - (n - a) * (n + 1) ** a) for n in range(steps)]
+        for k0 in (1.0, 4.0):
+            params = REFERENCE_PARAMS.with_(alpha=alpha, k0=k0)
+            got = _abm_reference(params, 2.0, steps)
+            want = _abm_reference(params, 2.0, steps, start_weight=exact.__getitem__)
+            assert max(abs(g - w) / w for g, w in zip(got, want)) <= 1e-12
+
     # Where the step is too stiff for q the corrector has no positive root.
     @pytest.mark.parametrize("params, t_end, message", [
         (REFERENCE_PARAMS.with_(alpha=0.8, q=1e300), 2.0,
@@ -341,7 +362,10 @@ class TestMuEdges:
     # To t = 50 at 2,048 steps (h = 0.0244), measured before setting the gate of
     # 1e-4: worst 1.5e-5 at alpha < 1 (mu -> 1, alpha = 0.3); at alpha = 1,
     # 6.7e-5 (mu -> 1, where a one-pass corrector went below 0 near t = 18.7).
-    @pytest.mark.parametrize("params, reference", EDGE_CASES + edge_cases((1.0,)))
+    # Below 0.3, 1.4e-5 (mu -> 1, alpha = 0.2) and 1.07e-5 on the mu -> 0 edge
+    # (alpha = 0.2, k0 = 0.5).
+    @pytest.mark.parametrize("params, reference",
+                             EDGE_CASES + edge_cases((0.05, 0.1, 0.2, 1.0)))
     def test_abm_matches_exact_edge_to_t50(self, params, reference):
         values = solve_abm_fractional(params, t_end=50.0, steps=2048)
         for i in range(256, 2049, 256):  # t = 6.25, 12.5, ..., 50
