@@ -40,6 +40,7 @@ OTHER_FLAGS = {
     "compare": {"config": str},
 }
 FLAG_KINDS = {command: {**keys, **OTHER_FLAGS[command]} for command, keys in COMMAND_KEYS.items()}
+SIDECAR_SUFFIX = ".meta.json"  # a sweep's sidecar is its --out path plus this
 HELP = {
     "p": "productivity coefficient (> 0)",
     "q": "depreciation/labour-growth rate (> 0)",
@@ -150,9 +151,9 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
 
     The last of repeated flags wins.  `-h`/`--help` gives {"help": True}, with
     the subcommand None for the program's help.  Raises ValueError naming the
-    flag, before any work, for every error, for an empty path, for an
-    output path that is a directory or whose directory does not exist, and for
-    a gnuplot script path that is the --out CSV or its sidecar.
+    flag, before any work, for every error: an empty path, an output path that
+    is a directory or in none, a gnuplot script over the --out CSV or its
+    sidecar, and a written file (a sweep's sidecar too) over the --config file.
     """
     command = argv[0] if argv else ""
     if command not in SUMMARY:
@@ -194,9 +195,14 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
             raise ValueError(f"{flag}: {path!r} is a directory")
         if path and not isdir(dirname(path) or "."):
             raise ValueError(f"{flag}: directory of {path!r} does not exist")
-    out, script = values.get("out"), values.get("gnuplot_script")
-    if out and script and realpath(script) in (realpath(out), realpath(out + ".meta.json")):
+    out, script, config = values.get("out"), values.get("gnuplot_script"), values.get("config")
+    sidecar = out + SIDECAR_SUFFIX if out and command == "sweep" else None
+    if out and script and realpath(script) in (realpath(out), realpath(sidecar)):
         raise ValueError(f"--gnuplot-script: {script!r} is the --out CSV or its sidecar")
+    for flag, path, what in (("--out", out, ""), ("--out", sidecar, "the sidecar "),
+                             ("--gnuplot-script", script, "")):
+        if config and path and realpath(path) == realpath(config):
+            raise ValueError(f"{flag}: {what}{path!r} is the --config file")
     return command, values
 
 
@@ -245,7 +251,11 @@ def _params(settings: dict) -> ModelParams:
     return ModelParams(*(settings[key] for key in MODEL_KEYS))
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
+    """Write `text` to the file `path`, or to stdout when there is no path."""
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w") as f:
         f.write(text)
 
@@ -254,11 +264,7 @@ def _cmd_solve(flags, s) -> int:
     from .sweep import rows_to_csv, run_solve
 
     rows = run_solve(_params(s), s["t_max"], s["samples"], s["method"], s["order"])
-    csv_text = rows_to_csv(rows, axis=False)
-    if out := flags.get("out"):
-        _write(out, csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write(flags.get("out"), rows_to_csv(rows, axis=False))
     return 0
 
 
@@ -275,15 +281,12 @@ def _cmd_sweep(flags, s) -> int:
     sweep_cfg = SweepConfig(_params(s), s["axis"], (s["axis_min"], s["axis_max"], s["axis_count"]),
                             (s["t_max"], s["t_count"]), s["order"], s["method"])
     grid = run_sweep(sweep_cfg)
-    csv_text = rows_to_csv(grid.rows)
+    _write(out, rows_to_csv(grid.rows))
     if out:
-        _write(out, csv_text)
-        _write(out + ".meta.json", sidecar_metadata(grid))
+        _write(out + SIDECAR_SUFFIX, sidecar_metadata(grid))
         if script:
             # the script names the CSV in normal form: `./out//g.csv` as `out/g.csv`
             _write(script, gnuplot_script(normpath(out), sweep_cfg))
-    else:
-        sys.stdout.write(csv_text)
     return 0
 
 

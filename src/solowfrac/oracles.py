@@ -36,9 +36,9 @@ __all__ = ["exact_classical_value", "solve_abm_fractional"]
 MIN_ABM_STEPS = 16
 # Exact weights for memory terms younger than WINDOW steps; older ones go
 # through the modes on every run, at WINDOW + 2 * modes products per step.
-# With a predictor pass as well, a 2,048-step run at alpha = 0.3 and 0.8
-# took 16.5-17.1 ms at 16 against 17.6-17.7 at 32 (71 of 80 interleaved
-# calls faster).
+# On the Newton corrector, a 2,048-step run at alpha = 0.3 and 0.8 took
+# 10.6-10.7 ms (median) at 16 against 10.9-11.1 at 32, faster in 71 and 65 of
+# 80 interleaved pairs (one CPU, 2-core machine); the values agree to 1.2e-15.
 WINDOW = 16
 # Newton on the corrector: a step ends once a correction is at most
 # NEWTON_TOL * k, which quadratic convergence leaves ~1e-20 * k off the root.

@@ -167,23 +167,32 @@ def time_grid(t_max: float, samples: int) -> list[float]:
     return [i * t_max / (samples - 1) for i in range(samples)]
 
 
+def _run_cells(cells: list, times: list[float], order: int) -> tuple[list[Row], list]:
+    """Rows (t-major, then cell) of (axis value, params, method) cells on
+    `times`, and the (axis value, method, reason) of each failed cell."""
+    results = [evaluate(params, times, m, order) for _, params, m in cells]
+    rows = [(t, v, values[i], trusted[i], m)
+            for i, t in enumerate(times)
+            for (v, _, m), (values, trusted, _) in zip(cells, results)]
+    failures = [(v, m, reason) for (v, _, m), (_, _, reason) in zip(cells, results)
+                if reason is not None]
+    return rows, failures
+
+
 def run_solve(params: ModelParams, t_max: float, samples: int,
               method: str, order: int = DEFAULT_ORDER) -> list[Row]:
     """Single trajectory as flat rows, t-major then method.
 
-    The axis column is fixed to 0.0 (no swept parameter).  Validation and
-    solver failures raise ValueError (the CLI maps them to exit code 2).
+    The axis column is fixed to 0.0 (no swept parameter).  A validation error, or
+    the reason of the first method that fails, raises ValueError (CLI exit code 2).
     """
     times = time_grid(t_max, samples)
     check_order(order)
-    cells = []
-    for m in methods_for(method, params.alpha):
-        values, trusted, reason = evaluate(params, times, m, order)
-        if reason is not None:
-            raise ValueError(reason)
-        cells.append((m, values, trusted))
-    return [(t, 0.0, values[i], trusted[i], m)
-            for i, t in enumerate(times) for m, values, trusted in cells]
+    rows, failures = _run_cells([(0.0, params, m) for m in methods_for(method, params.alpha)],
+                                times, order)
+    if failures:
+        raise ValueError(failures[0][2])
+    return rows
 
 
 def run_sweep(config: SweepConfig) -> SweepGrid:
@@ -192,20 +201,10 @@ def run_sweep(config: SweepConfig) -> SweepGrid:
     A cell whose solver fails gives NaN, untrusted rows, and its reason is
     kept in `failures`.
     """
-    times = config.times()
-    cells = [(v, m) for v in config.axis_values() for m in config.methods()]
-    results = [
-        evaluate(config.base.with_(**{config.axis: v}), times, m, config.order)
-        for v, m in cells
-    ]
-    rows = tuple(
-        (t, v, values[i], trusted[i], m)
-        for i, t in enumerate(times)
-        for (v, m), (values, trusted, _) in zip(cells, results)
-    )
-    failures = tuple((v, m, reason) for (v, m), (_, _, reason) in zip(cells, results)
-                     if reason is not None)
-    return SweepGrid(config=config, rows=rows, failures=failures)
+    cells = [(v, config.base.with_(**{config.axis: v}), m)
+             for v in config.axis_values() for m in config.methods()]
+    rows, failures = _run_cells(cells, config.times(), config.order)
+    return SweepGrid(config=config, rows=tuple(rows), failures=tuple(failures))
 
 
 def rows_to_csv(rows: list[Row], axis: bool = True) -> str:

@@ -655,9 +655,15 @@ class TestCompare:
         assert err == f"error: t_max * (samples - 1) overflows: t_max={t_max}, samples={samples}\n"
 
 
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_degenerate_sweep_time_grid_is_usage_error(self, capsys, count):
+        assert run_cli(capsys, "sweep", "--preset", "fig-ktq", "--t-count", count) == (
+            2, "", f"error: time count must be at least 2, got {count}\n")
+
+
 class TestOutputPaths:
-    """An output path that is a directory, or whose directory does not exist,
-    is refused before any work."""
+    """An output path that is a directory, whose directory does not exist, or
+    that is a file the command reads, is refused before any work."""
 
     @pytest.mark.parametrize("argv, flag", [
         (["sweep", "--preset", "fig-ktq", "--out", "{missing}/x.csv"], "--out"),
@@ -699,6 +705,41 @@ class TestOutputPaths:
         assert (code, out) == (2, "")
         assert err == f"error: --gnuplot-script: {script!r} is the --out CSV or its sidecar\n"
         assert list(tmp_path.iterdir()) == []
+
+    # The command read the config file and then wrote over it, exit 0.
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--config", "c.txt", "--out", "c.txt"], "--out: 'c.txt' is the --config file"),
+        (["solve", "--config", "c.txt", "--out", "./c.txt"],
+         "--out: './c.txt' is the --config file"),
+        (["sweep", "--preset", "fig-ktq", "--config", "d.txt", "--out", "o.csv",
+          "--gnuplot-script", "d.txt"], "--gnuplot-script: 'd.txt' is the --config file"),
+        (["sweep", "--preset", "fig-ktq", "--config", "o.csv.meta.json", "--out", "o.csv"],
+         "--out: the sidecar 'o.csv.meta.json' is the --config file"),
+        (["equilibria", "--config", "e.cfg", "--out", "e.cfg"],
+         "--out: 'e.cfg' is the --config file"),
+    ], ids=["solve", "solve-dot-path", "sweep-script", "sweep-sidecar", "equilibria"])
+    def test_output_over_the_config_file_exits_2(self, capsys, tmp_path, monkeypatch, argv,
+                                                 message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("run_sweep", "run_solve"):
+            monkeypatch.setattr(f"solowfrac.sweep.{name}", no_work)
+        monkeypatch.setattr("solowfrac.equilibrium.find_equilibria", no_work)
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / argv[argv.index("--config") + 1]
+        config.write_text("# settings\n")
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == [config]
+        assert config.read_text() == "# settings\n"
+
+    def test_solve_out_next_to_a_sidecar_named_config_runs(self, capsys, tmp_path, monkeypatch):
+        # only a sweep writes a sidecar, so a solve's --out may sit next to one
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o.csv.meta.json").write_text("samples = 3\n")
+        code, out, _ = run_cli(capsys, "solve", "--config", "o.csv.meta.json", "--out", "o.csv")
+        assert (code, out) == (0, "")
+        assert len((tmp_path / "o.csv").read_text().splitlines()) == 4
 
 
 class TestEmptyPaths:
@@ -839,11 +880,19 @@ class TestParser:
             with pytest.raises(ValueError, match=r"^--[a-z-]+: empty path$"):
                 parse_args(argv)
             return
-        out, script = map((expected[1] if expected != 0 else {}).get, ("out", "gnuplot_script"))
+        out, script, config = map((expected[1] if expected != 0 else {}).get,
+                                  ("out", "gnuplot_script", "config"))
         if out and script and realpath(script) in (realpath(out), realpath(out + ".meta.json")):
             # Deliberate difference: a script path that would overwrite the CSV
             # or its sidecar is refused; argparse took it.
             with pytest.raises(ValueError, match=r"^--gnuplot-script: .* is the --out CSV"):
+                parse_args(argv)
+            return
+        sidecar = out + ".meta.json" if out and expected[0] == "sweep" else None
+        if config and realpath(config) in {realpath(path) for path in (out, script, sidecar) if path}:
+            # Deliberate difference: a written file that would overwrite the
+            # config file is refused; argparse took it.
+            with pytest.raises(ValueError, match=r"^--[a-z-]+: .* is the --config file$"):
                 parse_args(argv)
             return
         try:

@@ -7,6 +7,7 @@ Each check runs in a fresh interpreter, because this test process has
 imported all of these already.
 """
 
+import importlib
 import inspect
 import json
 import os
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import solowfrac
+from solowfrac.cli import usage
 
 SRC = str(Path(solowfrac.__file__).resolve().parents[1])
 
@@ -52,12 +54,22 @@ print(json.dumps(report))
 """
 
 
-def run_fresh(program, *args, options=(), cwd=None):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def fresh_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, *options, "-c", program, *args], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=120, check=True)
+
+
+def run_fresh(program, *args, options=(), cwd=None):
+    proc = subprocess.run([sys.executable, *options, "-c", program, *args], env=fresh_env(),
+                          cwd=cwd, capture_output=True, text=True, timeout=120, check=True)
     return proc.stdout
+
+
+def test_cli_runs_as_a_module():
+    # `python -m solowfrac.cli` reaches main through the module's __main__ guard
+    proc = subprocess.run([sys.executable, "-m", "solowfrac.cli", "--help"], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, usage(None), "")
 
 
 def test_no_command_loads_numpy_or_mpmath():
@@ -80,6 +92,20 @@ def test_every_export_resolves_as_attribute():
                     " for n in solowfrac.__all__]))\n")
     assert len(json.loads(out)) == len(solowfrac.__all__) == 18
     assert not hasattr(solowfrac, "no_such_name")
+
+
+def test_every_submodule_export_resolves():
+    # each module's own __all__, so a name deleted from a module is caught
+    # even when the package does not re-export it
+    missing, checked = {}, []
+    for path in sorted(Path(SRC, "solowfrac").glob("*.py")):
+        if path.stem == "__init__":  # the package's __all__ is checked above
+            continue
+        module = importlib.import_module(f"solowfrac.{path.stem}")
+        if hasattr(module, "__all__"):
+            checked.append(path.stem)
+            missing[path.stem] = [name for name in module.__all__ if not hasattr(module, name)]
+    assert checked and missing == dict.fromkeys(checked, [])
 
 
 def test_every_export_resolves_through_star_import():

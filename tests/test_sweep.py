@@ -209,6 +209,22 @@ class TestRunSolve:
         times = time_grid(t_max, 41)
         assert times[-1] == t_max and all(math.isfinite(t) for t in times)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.8])
+    def test_both_raises_the_series_reason_first(self, alpha):
+        # The oracle fails here too, with a reason of its own ("exact k(t) ...
+        # overflows" at alpha = 1, "non-finite capital" from the ABM below).
+        params = REFERENCE_PARAMS.with_(p=1e300, q=1e-300, alpha=alpha)
+        with pytest.raises(ValueError) as exc:
+            run_solve(params, t_max=2.0, samples=41, method="both")
+        assert str(exc.value) == ("k_star = (p/q)**(1/(1-mu)) overflows double precision at "
+                                  "p=1e+300, q=1e-300, mu=0.3333333333333333")
+
+    def test_both_raises_the_abm_reason_when_only_the_abm_fails(self):
+        params = REFERENCE_PARAMS.with_(alpha=0.8, q=1000.0)
+        assert evaluate(params, time_grid(1.0, 41), "series")[2] is None
+        with pytest.raises(ValueError, match=r"no positive capital .*: stiffness c\*q = 6\.57$"):
+            run_solve(params, t_max=1.0, samples=41, method="both")
+
     def test_solver_failure_raises(self):
         # A sweep turns this cell into NaN rows; a single solve must refuse it.
         stiff = REFERENCE_PARAMS.with_(q=1000.0)
