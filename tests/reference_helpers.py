@@ -10,7 +10,8 @@ import argparse
 import math
 import warnings
 
-from solowfrac.cli import COMMAND_KEYS, HELP, SUMMARY, choices, defaults
+from solowfrac.cli import COMMAND_KEYS, SUMMARY, choices, defaults
+from solowfrac.cli_help import HELP
 from solowfrac.model import ModelParams
 from solowfrac.oracles import exact_classical_value
 from solowfrac.sweep import CSV_HEADER, Row

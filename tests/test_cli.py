@@ -178,8 +178,21 @@ class TestConfigFile:
         assert code == 2
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "solve", "--config", str(tmp_path / "nope.cfg"))
-        assert code == 2
+        path = str(tmp_path / "nope.cfg")
+        assert run_cli(capsys, "solve", "--config", path) == (
+            2, "", f"error: --config: cannot read {path!r}: No such file or directory\n")
+
+    def test_directory_is_usage_error(self, capsys, tmp_path):
+        assert run_cli(capsys, "solve", "--config", str(tmp_path)) == (
+            2, "", f"error: --config: cannot read {str(tmp_path)!r}: Is a directory\n")
+
+    def test_undecodable_file_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"\xff = 3\n")
+        code, out, err = run_cli(capsys, "solve", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --config: cannot read {str(cfg)!r}: ")
+        assert "can't decode byte 0xff" in err
 
     @pytest.mark.parametrize("line, key", [("p = abc", "p"), ("samples = 2.5", "samples")])
     def test_unconvertible_value_names_its_line(self, capsys, tmp_path, line, key):
@@ -732,6 +745,23 @@ class TestOutputPaths:
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == [config]
         assert config.read_text() == "# settings\n"
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--samples", "2", "--out", "/dev/full"], "--out"),
+        (["sweep", "--preset", "fig-ktq", "--out", "{tmp}/g.csv",
+          "--gnuplot-script", "/dev/full"], "--gnuplot-script"),
+    ])
+    def test_failed_write_names_the_flag_and_path(self, capsys, tmp_path, argv, flag):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert run_cli(capsys, *argv) == (
+            2, "", f"error: {flag}: cannot write '/dev/full': No space left on device\n")
+
+    def test_failed_sidecar_write_names_the_sidecar(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "o.csv.meta.json").mkdir()
+        assert run_cli(capsys, "sweep", "--preset", "fig-ktq", "--out", "o.csv") == (
+            2, "", "error: --out: cannot write the sidecar 'o.csv.meta.json': Is a directory\n")
 
     def test_solve_out_next_to_a_sidecar_named_config_runs(self, capsys, tmp_path, monkeypatch):
         # only a sweep writes a sidecar, so a solve's --out may sit next to one

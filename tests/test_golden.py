@@ -1,4 +1,4 @@
-"""Golden bytes: SHA-256 of the CSV, sidecar and report outputs.
+"""Golden bytes: SHA-256 of the CSV, sidecar, script, report and help outputs.
 
 A refactor must leave every output byte where it was.  Each case below
 produces one output exactly as a user gets it and compares its digest with
@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from solowfrac.cli import main
+from solowfrac.cli import SUMMARY, main
 from solowfrac.model import REFERENCE_PARAMS
 from solowfrac.sweep import PRESETS, rows_to_csv, run_solve
 
@@ -85,6 +85,26 @@ GOLDEN = {
         "277353ad712c6a54bb849e8db9a4aa99fb20b28395db0c498ebf8d977ebeb998",
     "verify":
         "23d452f211a3d347704b65ab979cab5f8b9b41d352cec1dbd520f17dcf7a4618",
+    "verify json":
+        "42b344af186d8eb9073d2f11e28a800c61768c00b3d84524ef2add39e0c1ce4e",
+    "equilibria table":
+        "76f051888c661e471d2c7aef37596a83785ea58c17a366435694c216067348cf",
+    "equilibria json":
+        "3a6b9f8d539f155335cce1cb8890aa5bdf184f25efd3ac7e42aff0463dd4a6a8",
+    "sweep fig-ktq-frac both gnuplot":
+        "2d8999ff5aa2efb49d86f0f780ac51a1f5c11b7bf7b845b375462530e525d8b0",
+    "--help":
+        "8a0c355affa0f5b96eae50fec6800973797348634d592f9fd091bf52a35c9c28",
+    "solve --help":
+        "f540ce2ce990b4cea7ba7dda30cc5802177e82121cd68bfb80cf90b3256711e4",
+    "sweep --help":
+        "c63e49b7b7cdabfb2abf30679cd84ea21b37a0802a307b9142c86ab85aa75c2a",
+    "equilibria --help":
+        "ed50b9f31d69a8c944b53b8f68bfc3b56f7dc1ed59492f793093d737128aad3a",
+    "verify --help":
+        "ad7c718b845b40fe19a9c5999b978006dfd3ab3f4e35b107bd6ce65130552c93",
+    "compare --help":
+        "60714af2fbaf204e2547ab03d62e5bffeea83416f018e10efcdab4fd52fef7d2",
 }
 
 
@@ -147,6 +167,22 @@ def test_solve_bytes(alpha, method):
     assert _digest(rows_to_csv(rows, axis=False)) == GOLDEN[f"solve alpha={alpha:g} {method}"]
 
 
+@pytest.mark.parametrize("method", ["series", "both"])
+def test_solve_through_main_bytes(capsys, method):
+    # the same CSV as run_solve's above, as `solve` writes it to stdout
+    out = _cli_stdout(capsys, "solve", "--alpha", "0.8", "--method", method)
+    assert _digest(out) == GOLDEN[f"solve alpha=0.8 {method}"]
+
+
+def test_gnuplot_script_bytes(capsys, tmp_path, monkeypatch):
+    # relative paths, so the script's CSV name does not depend on tmp_path;
+    # `./grid.csv` is named in normal form, `grid.csv`
+    monkeypatch.chdir(tmp_path)
+    assert _cli_stdout(capsys, "sweep", "--preset", "fig-ktq-frac", "--method", "both",
+                       "--out", "./grid.csv", "--gnuplot-script", "grid.gp") == ""
+    assert _digest((tmp_path / "grid.gp").read_text()) == GOLDEN["sweep fig-ktq-frac both gnuplot"]
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.8])
 def test_compare_bytes(capsys, alpha):
     out = _cli_stdout(capsys, "compare", "--alpha", repr(alpha))
@@ -155,3 +191,18 @@ def test_compare_bytes(capsys, alpha):
 
 def test_verify_bytes(capsys):
     assert _digest(_cli_stdout(capsys, "verify")) == GOLDEN["verify"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["verify", "--json"], "verify json"),
+    (["equilibria"], "equilibria table"),
+    (["equilibria", "--json"], "equilibria json"),
+], ids=" ".join)
+def test_report_bytes(capsys, argv, key):
+    assert _digest(_cli_stdout(capsys, *argv)) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("command", [None, *SUMMARY])
+def test_help_bytes(capsys, command):
+    argv = [command, "--help"] if command else ["--help"]
+    assert _digest(_cli_stdout(capsys, *argv)) == GOLDEN[" ".join(argv)]

@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 import solowfrac
-from solowfrac.cli import usage
+from solowfrac.cli import main
+from solowfrac.cli_help import usage
 
 SRC = str(Path(solowfrac.__file__).resolve().parents[1])
 
@@ -70,6 +71,32 @@ def test_cli_runs_as_a_module():
     proc = subprocess.run([sys.executable, "-m", "solowfrac.cli", "--help"], env=fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, usage(None), "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "c.cfg", "--alpha", "0.8", "--method", "both"],
+    ["solve", "--config", "nope.cfg"],
+    ["sweep", "--preset", "fig-ktq-frac", "--method", "both", "--out", "o.csv",
+     "--gnuplot-script", "o.gp"],
+    ["equilibria", "--out", "r.json"],
+    ["verify", "--alpha", "0.5", "--json"],
+    ["compare", "--alpha", "0.8", "--tol", "1e-2"],
+    ["compare", "--help"],
+], ids=" ".join)
+def test_cli_as_a_module_runs_each_command_as_main_does(argv, tmp_path, monkeypatch, capsys):
+    # As __main__, cli is not `solowfrac.cli`: a command module's `from .cli
+    # import ...` loads a second copy of it, which must change no byte.
+    for side in ("module", "main"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "c.cfg").write_text("samples = 5\nt_max = 1.0\n")
+    proc = subprocess.run([sys.executable, "-m", "solowfrac.cli", *argv], env=fresh_env(),
+                          cwd=tmp_path / "module", capture_output=True, text=True, timeout=120)
+    monkeypatch.chdir(tmp_path / "main")
+    code = main(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, *capsys.readouterr())
+    written = [{path.name: path.read_bytes() for path in (tmp_path / side).iterdir()}
+               for side in ("module", "main")]
+    assert written[0] == written[1]
 
 
 def test_no_command_loads_numpy_or_mpmath():
@@ -148,30 +175,39 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("solowfrac."))]))
 """
 
-SWEEP = ["series", "sweep"]
-# Every command loads these two; each other module only the commands that run it.
+SOLVE = ["cli_solve", "series", "sweep"]
+SWEEP = ["cli_sweep", "series", "sweep"]
+COMPARE = ["cli_compare", "series", "sweep"]
+# Every command loads these two; each other module only the commands that run
+# it: a subcommand's own cli_<command>, cli_help for --help, cli_config for
+# --config.
 CORE_MODULES = ["cli", "model"]
 COMMAND_MODULES = {
-    ("solve", "--method", "series"): SWEEP,
+    ("solve", "--method", "series"): SOLVE,
+    ("solve", "--config", "c.cfg"): SOLVE + ["cli_config"],
     ("sweep", "--preset", "fig-ktq"): SWEEP,
     ("sweep", "--preset", "fig-ktq", "--out", "o.csv"): SWEEP + ["jsontext"],
-    ("solve", "--method", "exact"): SWEEP + ["exact"],
-    ("compare", "--alpha", "1"): SWEEP + ["exact"],
-    ("solve", "--method", "abm", "--alpha", "0.8"): SWEEP + ["exact", "oracles"],
+    ("solve", "--method", "exact"): SOLVE + ["exact"],
+    ("compare", "--alpha", "1"): COMPARE + ["exact"],
+    ("solve", "--method", "abm", "--alpha", "0.8"): SOLVE + ["exact", "oracles"],
     ("sweep", "--preset", "fig-ktq-frac", "--method", "both"): SWEEP + ["exact", "oracles"],
-    ("compare", "--alpha", "0.8"): SWEEP + ["exact", "oracles"],
-    ("equilibria",): ["equilibrium"],
-    ("equilibria", "--json"): ["equilibrium", "jsontext"],
-    ("verify",): ["exact", "transforms"],
-    ("verify", "--json"): ["exact", "jsontext", "transforms"],
-    ("--help",): [],
-    ("verify", "--help"): [],
+    ("compare", "--alpha", "0.8"): COMPARE + ["exact", "oracles"],
+    ("equilibria",): ["cli_equilibria", "equilibrium"],
+    ("equilibria", "--json"): ["cli_equilibria", "equilibrium", "jsontext"],
+    ("verify",): ["cli_verify", "exact", "transforms"],
+    ("verify", "--json"): ["cli_verify", "exact", "jsontext", "transforms"],
+    ("--help",): ["cli_help"],
+    ("verify", "--help"): ["cli_help"],
+    ("compare", "--help"): ["cli_help"],
+    # its help lists the order default and the preset, axis and method choices
+    ("sweep", "--help"): ["cli_help", "series", "sweep"],
 }
 
 
 @pytest.mark.parametrize("argv", COMMAND_MODULES, ids=" ".join)
 def test_command_loads_only_the_modules_it_runs(argv, tmp_path):
     # the exact set, so no helper module creeps back onto a request's path
+    (tmp_path / "c.cfg").write_text("samples = 3\n")
     code, loaded = json.loads(run_fresh(ONE_COMMAND, json.dumps(argv), cwd=tmp_path))
     assert code == 0
     assert loaded == sorted(f"solowfrac.{name}" for name in CORE_MODULES + COMMAND_MODULES[argv])
