@@ -105,9 +105,9 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
 
     The last of repeated flags wins.  `-h`/`--help` gives {"help": True}, with
     the subcommand None for the program's help.  Raises ValueError naming the
-    flag, before any work, for every error: an empty path, an output path that
-    is a directory or in none, a gnuplot script over the --out CSV or its
-    sidecar, and a written file (a sweep's sidecar too) over the --config file.
+    flag, before any work, for every error: an empty path, a written file (a
+    sweep's sidecar too) that is a directory or in none, a gnuplot script over
+    the --out CSV or its sidecar, and a written file over the --config file.
     """
     command = argv[0] if argv else ""
     if command not in SUMMARY:
@@ -140,21 +140,21 @@ def parse_args(argv: list[str]) -> tuple[str | None, dict]:
             raise ValueError(f"{flag}: invalid {kind.__name__} value {value!r}") from None
         if (allowed := choices(key)) is not None and values[key] not in allowed:
             raise ValueError(f"{flag}: invalid choice {value!r}; choose from {', '.join(allowed)}")
-    for flag in ("--config", "--out", "--gnuplot-script"):
-        if values.get(flags.get(flag)) == "":
-            raise ValueError(f"{flag}: empty path")
-    for flag in ("--out", "--gnuplot-script"):
-        path = values.get(flags.get(flag))
-        if path and isdir(path):
-            raise ValueError(f"{flag}: {path!r} is a directory")
-        if path and not isdir(dirname(path) or "."):
-            raise ValueError(f"{flag}: directory of {path!r} does not exist")
     out, script, config = values.get("out"), values.get("gnuplot_script"), values.get("config")
+    for flag, path in (("--config", config), ("--out", out), ("--gnuplot-script", script)):
+        if path == "":
+            raise ValueError(f"{flag}: empty path")
     sidecar = out + SIDECAR_SUFFIX if out and command == "sweep" else None
+    written = (("--out", out, ""), ("--out", sidecar, "the sidecar "),
+               ("--gnuplot-script", script, ""))
+    for flag, path, what in written:
+        if path and isdir(path):
+            raise ValueError(f"{flag}: {what}{path!r} is a directory")
+        if path and not isdir(dirname(path) or "."):
+            raise ValueError(f"{flag}: directory of {what}{path!r} does not exist")
     if out and script and realpath(script) in (realpath(out), realpath(sidecar)):
         raise ValueError(f"--gnuplot-script: {script!r} is the --out CSV or its sidecar")
-    for flag, path, what in (("--out", out, ""), ("--out", sidecar, "the sidecar "),
-                             ("--gnuplot-script", script, "")):
+    for flag, path, what in written:
         if config and path and realpath(path) == realpath(config):
             raise ValueError(f"{flag}: {what}{path!r} is the --config file")
     return command, values

@@ -150,7 +150,7 @@ def evaluate(params: ModelParams, times: list[float], method: str,
         else:
             from .oracles import solve_abm_fractional
 
-            per = max(1, math.ceil(256 / (len(times) - 1)))
+            per = math.ceil(256 / (len(times) - 1))
             values = solve_abm_fractional(params, times[-1], (len(times) - 1) * per)[::per]
         return values, [True] * len(times), None
     except (ValueError, ArithmeticError) as exc:

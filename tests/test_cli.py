@@ -757,11 +757,23 @@ class TestOutputPaths:
         assert run_cli(capsys, *argv) == (
             2, "", f"error: {flag}: cannot write '/dev/full': No space left on device\n")
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
     def test_failed_sidecar_write_names_the_sidecar(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "o.csv.meta.json").symlink_to("/dev/full")
+        assert run_cli(capsys, "sweep", "--preset", "fig-ktq", "--out", "o.csv") == (
+            2, "", "error: --out: cannot write the sidecar 'o.csv.meta.json': "
+                   "No space left on device\n")
+
+    # The sweep ran and wrote its CSV, then the sidecar write failed, exit 2.
+    def test_sidecar_that_is_a_directory_exits_2_before_any_work(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("solowfrac.sweep.run_sweep", lambda *args: pytest.fail("the sweep ran"))
         (tmp_path / "o.csv.meta.json").mkdir()
         assert run_cli(capsys, "sweep", "--preset", "fig-ktq", "--out", "o.csv") == (
-            2, "", "error: --out: cannot write the sidecar 'o.csv.meta.json': Is a directory\n")
+            2, "", "error: --out: the sidecar 'o.csv.meta.json' is a directory\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / "o.csv.meta.json"]
 
     def test_solve_out_next_to_a_sidecar_named_config_runs(self, capsys, tmp_path, monkeypatch):
         # only a sweep writes a sidecar, so a solve's --out may sit next to one

@@ -65,6 +65,14 @@ GOLDEN = {
         "e9a0693239b53e5a2ef123a0f66c8eb2007c5a438531bc6c6c6a95c35c36dc3b",
     "sweep fig-ktq overridden meta":
         "761cd8ab25a28c09ce44d9f96eb86eb81311d4e48914bfb0c68d07147f14c4c6",
+    "sweep fig-ktq order 32 csv":
+        "a66fd9d9bd7b1a62d6082d4d62eeba9cf7eaf7d71c6e77e8ea252af1df8da996",
+    "sweep fig-ktq order 32 meta":
+        "136ce49f78a3c0d0f97564c1b6542277c8e955f482f38a63f906261dd9941113",
+    "sweep fig-ktalpha order 64 csv":
+        "7007e5b6033d2b669980734b155adf2a2cf555e5f8cb62566052ca6197e02002",
+    "sweep fig-ktalpha order 64 meta":
+        "b4879d5fa16e6ea133780868de13306aaad850082a61a555f546f378bded5402",
     "solve alpha=1 series":
         "7a84c65e4eb249a9a37c8eab302527ca8a0c7b9d8f94405e5e53c650a96a30f6",
     "solve alpha=1 exact":
@@ -138,7 +146,8 @@ def test_sweep_preset_bytes(capsys, tmp_path, preset, method):
     assert _digest((tmp_path / "grid.csv.meta.json").read_text()) == GOLDEN[f"{key} meta"]
 
 
-# A custom sweep, and a preset with every kind of field overridden.
+# A custom sweep, a preset with every kind of field overridden, and two presets
+# at the high orders the Miller prefix dominates.
 SWEEP_ARGV = {
     "sweep custom both": ["--axis", "p", "--axis-min", "0.2", "--axis-max", "1.0",
                           "--axis-count", "5", "--t-max", "1.5", "--t-count", "9",
@@ -146,6 +155,8 @@ SWEEP_ARGV = {
     "sweep fig-ktq overridden": ["--preset", "fig-ktq", "--p", "0.7", "--axis", "mu",
                                  "--axis-min", "0.2", "--axis-max", "0.6",
                                  "--axis-count", "5", "--t-count", "9", "--order", "7"],
+    "sweep fig-ktq order 32": ["--preset", "fig-ktq", "--order", "32"],
+    "sweep fig-ktalpha order 64": ["--preset", "fig-ktalpha", "--order", "64"],
 }
 
 

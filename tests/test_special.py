@@ -253,6 +253,27 @@ class TestMittagLeffler:
             # the stop rule fires within the table, not at its end by running out
             assert terms <= len(_ml_taylor_table(alpha)), (alpha, z)
 
+    def test_taylor_partial_sums_stay_in_unit_interval(self):
+        # `_ml_taylor_double` stops at |term| <= 1e-16, not relative to the
+        # total, because every partial sum lies in (0.43, 1] on its route: the
+        # terms alternate in sign and shrink by a factor of at most 0.57, so each
+        # sum is within [1 - |z| / Gamma(1 + alpha), 1] with Gamma(1 + alpha) >= 0.8856.
+        rng = random.Random(39)
+        alphas = [1e-300, 1.0 - 1e-9]
+        alphas += [10.0 ** rng.uniform(-300.0, 0.0) for _ in range(300)]
+        alphas += [rng.uniform(1e-300, 1.0 - 1e-9) for _ in range(300)]
+        alphas = [min(alpha, 1.0 - 1e-9) for alpha in alphas]
+        cases = [(alpha, z) for alpha in alphas for z in (-0.5, 0.0, rng.uniform(-0.5, 0.0))]
+        for alpha, z in cases:
+            total, comp, term = 1.0, 0.0, 1.0
+            for ratio in _ml_taylor_table(alpha):  # the whole table, past the stop
+                term = term * z * ratio
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+                assert 0.43 < total <= 1.0, (alpha, z, total)
+
     def test_contour_bit_identical_to_per_node_formula(self):
         _ml_contour_table.cache_clear()
         rng = random.Random(1801)
